@@ -27,6 +27,10 @@ from .linalg import projector_pair
 #: vanishes at alpha1 = 1/2 and tau-identifiability collapses at 1.
 WEIGHT_MARGIN = 1e-6
 
+#: Separations outside [1 / TAU_LIMIT, TAU_LIMIT] are refused: beyond them
+#: tau^3 and (1 + beta*tau)^4 leave the range of a double.
+TAU_LIMIT = 1e77
+
 
 @dataclass(frozen=True)
 class AsymptoticSpec:
@@ -49,8 +53,9 @@ def _check_weight(alpha1):
 
 
 def _check_tau(tau):
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 1.0 / TAU_LIMIT <= tau <= TAU_LIMIT:
+        raise ValueError(
+            f"tau must lie in [{1.0 / TAU_LIMIT:g}, {TAU_LIMIT:g}], got {tau}")
 
 
 def c0_constant(alpha1, tau):

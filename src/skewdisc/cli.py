@@ -37,8 +37,6 @@ CHAT_COLUMNS = ("method", "alpha1", "tau", "n",
 MSI_COLUMNS = ("method", "alpha1", "tau", "n", "p",
                "reps_used", "reps_failed", "mean_msi")
 
-_METHOD_FLAGS = {tag.lower(): tag for tag in estimators.METHODS}
-
 
 class CsvFormatError(Error):
     """An input CSV file could not be parsed; the message carries the
@@ -67,9 +65,11 @@ def load_csv(path):
             raise CsvFormatError(f"{path}: line 1: no feature columns")
         rows = []
         labels = []
+        line_nos = []
         for line_no, record in enumerate(reader, start=2):
             if not record:
                 continue
+            line_nos.append(line_no)
             if len(record) != len(header):
                 raise CsvFormatError(
                     f"{path}: line {line_no}: expected {len(header)} fields, "
@@ -89,6 +89,10 @@ def load_csv(path):
     if not rows:
         raise CsvFormatError(f"{path}: line 2: no data rows")
     observations = np.array(rows, dtype=float)
+    finite = np.isfinite(observations).all(axis=1)
+    if not finite.all():
+        raise CsvFormatError(f"{path}: line {line_nos[int(np.argmin(finite))]}: "
+                             f"non-finite feature value")
     return DataSet(observations,
                    labels=np.array(labels) if label_col is not None else None)
 
@@ -105,26 +109,16 @@ def _require_out_dir(path):
 
 
 def _cmd_estimate(args):
-    method = _METHOD_FLAGS[args.method]
-    if method == estimators.MOM and args.alpha1 is None:
-        raise UsageError("--alpha1 is required for method mom")
+    method = estimators.METHODS[args.method.upper()]
+    if method.needs_alpha1 and args.alpha1 is None:
+        raise UsageError(f"--alpha1 is required for method {args.method}")
     _require_file(args.input)
     data = load_csv(args.input)
+    if method.needs_labels and data.labels is None:
+        raise SupervisionRequiredError(
+            f"method {args.method} needs a 'label' column in {args.input}")
     rng = None if args.seed is None else np.random.default_rng(args.seed)
-    if method == estimators.MOM:
-        est = estimators.est_mom(data, args.alpha1)
-    elif method == estimators.SKEWVEC:
-        est = estimators.est_skewvec(data)
-    elif method == estimators.TOBI:
-        est = estimators.est_tobi(data)
-    elif method == estimators.JADE3:
-        est = estimators.est_jade3(data, tol=args.tol,
-                                   max_iter=args.max_iter, rng=rng)
-    elif method == estimators.LDA:
-        est = estimators.est_lda(data)
-    else:
-        est = estimators.est_pp(data, tol=args.tol,
-                                max_iter=args.max_iter, rng=rng)
+    est = method.run(data, args.alpha1, tol=args.tol, max_iter=args.max_iter, rng=rng)
     centered = data.observations - data.observations.mean(axis=0)
     report = {
         "method": est.method,
@@ -259,7 +253,8 @@ def _build_parser():
     est = sub.add_parser("estimate", help="estimate a direction from a CSV file")
     est.add_argument("input", help="headered CSV; columns = features, "
                                    "optional 'label' column in {-1,1}")
-    est.add_argument("--method", required=True, choices=sorted(_METHOD_FLAGS))
+    est.add_argument("--method", required=True,
+                     choices=sorted(tag.lower() for tag in estimators.METHODS))
     est.add_argument("--alpha1", type=float,
                      help="true weight of the heavier component (mom only)")
     est.add_argument("--tol", type=float, default=estimators.DEFAULT_TOL,

@@ -15,16 +15,24 @@ Plus the supervised LDA baseline and an experimental projection pursuit
 plug-in (PP). SKEWVEC, TOBI and JADE3 are affine equivariant; their
 estimates are defined up to sign, which align_sign resolves against a
 reference vector.
+
+SKEWVEC, TOBI, JADE3 and PP share one pipeline: whiten(data) centres,
+whitens and takes third moments once per dataset and keeps the Whitening
+record on the DataSet for every later method; MOM and LDA use the raw
+data. JADE3 and PP share one fixed-point loop. METHODS, the one method
+table, is what the command line and the simulations dispatch through.
 """
 
 import dataclasses
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import moments as mom
+from .asymptotics import c0_constant, c_lda, c_skewvec
 from .errors import DegenerateSkewnessError, SupervisionRequiredError
-from .linalg import SpdMatrix, inv_sqrt, sym_eigen
+from .linalg import inv_sqrt, sym_eigen
 
 MOM = "MOM"
 SKEWVEC = "SKEWVEC"
@@ -32,9 +40,6 @@ TOBI = "TOBI"
 JADE3 = "JADE3"
 LDA = "LDA"
 PP = "PP"
-
-#: All recognized method tags.
-METHODS = (MOM, SKEWVEC, TOBI, JADE3, LDA, PP)
 
 #: Default fixed-point settings for JADE3 and PP.
 DEFAULT_TOL = 1e-12
@@ -64,13 +69,34 @@ class DirectionEstimate:
 
 @dataclass(frozen=True)
 class Whitening:
-    """Centering and whitening of a dataset: whitener = C2_hat^{-1/2},
-    whitened rows = whitener @ (x_i - mean). The whitened sample
-    covariance (divisor n) is the identity."""
+    """Centering, whitening and third moments of one dataset: sample mean
+    and covariance c2 (divisor n), whitener = c2^{-1/2}, whitened rows
+    z_i = whitener @ (x_i - mean), c3 = (1/n) sum_i z_i ||z_i||^2, whether
+    ||c3|| is below skewness_floor(p) (affine invariant, as the whitened
+    covariance trace is p), and the T_k slices of z, built on first use."""
 
-    whitener: SpdMatrix
     mean: np.ndarray
+    c2: np.ndarray
+    whitener: np.ndarray
     whitened: np.ndarray
+    c3: np.ndarray
+    symmetric: bool
+    _tk: mom.TkSet = field(default=None, init=False, repr=False, compare=False)
+
+    def skewness(self):
+        """c3; raises DegenerateSkewnessError when the sample looks symmetric."""
+        if self.symmetric:
+            raise DegenerateSkewnessError(
+                "whitened third moment is numerically zero; the sample looks symmetric")
+        return self.c3
+
+    @property
+    def tk(self):
+        # Not functools.cached_property: before Python 3.12 it holds one
+        # lock for all instances, which would serialise worker threads.
+        if self._tk is None:
+            object.__setattr__(self, "_tk", mom.tk_slices(self.whitened))
+        return self._tk
 
 
 def _estimate(raw, method, converged=True, iterations=0, notes=()):
@@ -83,11 +109,6 @@ def _estimate(raw, method, converged=True, iterations=0, notes=()):
                              notes=tuple(notes))
 
 
-def _third_moment(z):
-    # (1/n) sum_i z_i z_i' z_i for already centered rows.
-    return z.T @ (z * z).sum(axis=1) / z.shape[0]
-
-
 def skewness_floor(c2_trace):
     """Degeneracy floor for third-moment norms: below it the sample is
     treated as symmetric and direction estimation refuses to guess."""
@@ -96,17 +117,24 @@ def skewness_floor(c2_trace):
 
 def whiten(data):
     """Center and whiten a dataset by the inverse square root of its
-    sample covariance (divisor n).
+    sample covariance (divisor n), and take the third moments of the
+    whitened rows. The record is built once per DataSet and kept on it,
+    so its observations must not be modified in place afterwards.
 
     Raises
     ------
     NearSingularError
         If the sample covariance is numerically singular.
     """
-    ms = mom.sample_moments(data)
-    whitener = inv_sqrt(ms.c2_hat)
-    z = (data.observations - ms.mean) @ np.asarray(whitener)
-    return Whitening(whitener=whitener, mean=ms.mean, whitened=z)
+    if data.whitening is None:
+        ms = mom.sample_moments(data)
+        whitener = inv_sqrt(ms.c2_hat)
+        z = (data.observations - ms.mean) @ whitener
+        c3 = z.T @ (z * z).sum(axis=1) / data.n
+        object.__setattr__(data, "whitening", Whitening(
+            mean=ms.mean, c2=ms.c2_hat, whitener=whitener, whitened=z, c3=c3,
+            symmetric=bool(np.linalg.norm(c3) < skewness_floor(float(data.p)))))
+    return data.whitening
 
 
 def mom_direction(c2, c3, alpha1):
@@ -160,17 +188,10 @@ def est_skewvec(data):
     Raises
     ------
     DegenerateSkewnessError
-        If the whitened third moment is below the degeneracy floor
-        (the floor is evaluated in whitened coordinates, where the
-        covariance trace is p, so the check is affine invariant).
+        If the whitened third moment is below the degeneracy floor.
     """
     wh = whiten(data)
-    c3w = _third_moment(wh.whitened)
-    if np.linalg.norm(c3w) < skewness_floor(float(data.p)):
-        raise DegenerateSkewnessError(
-            "whitened third moment is numerically zero; the sample looks symmetric"
-        )
-    return _estimate(skewvec_direction(wh.whitener, c3w), SKEWVEC)
+    return _estimate(skewvec_direction(wh.whitener, wh.skewness()), SKEWVEC)
 
 
 def tobi_unit(tk):
@@ -183,13 +204,10 @@ def tobi_unit(tk):
         in which case the returned eigenvector is arbitrary within the
         tied subspace.
     """
-    t = mom.tobi_matrix(tk)
-    pairs = sym_eigen(t)
-    ambiguous = False
-    if len(pairs) > 1:
-        lead, second = pairs[0].value, pairs[1].value
-        ambiguous = (lead - second) <= 1e-10 * max(abs(lead), _UNDERFLOW)
-    return pairs[0].vector, ambiguous
+    values, vectors = sym_eigen(mom.tobi_matrix(tk))
+    ambiguous = len(values) > 1 and bool(
+        values[0] - values[1] <= 1e-10 * max(abs(values[0]), _UNDERFLOW))
+    return vectors[:, 0], ambiguous
 
 
 def est_tobi(data):
@@ -197,13 +215,45 @@ def est_tobi(data):
     leading eigenvector of the squared-slice sum. A tied leading
     eigenvalue is reported through notes, not raised."""
     wh = whiten(data)
-    u, ambiguous = tobi_unit(mom.tk_slices(wh.whitened))
+    u, ambiguous = tobi_unit(wh.tk)
     notes = ("ambiguous leading eigenvalue",) if ambiguous else ()
-    return _estimate(np.asarray(wh.whitener) @ u, TOBI, notes=notes)
+    return _estimate(wh.whitener @ u, TOBI, notes=notes)
 
 
-def _jade_objective(tk, u):
-    return sum(float(u @ s @ u) ** 2 for s in tk.slices)
+def _fixed_point(step, init, tol, max_iter, rng):
+    # Iterates u <- step(u) / ||step(u)||. step(u) returns the update and
+    # the objective at u (None: nothing to watch); an objective that drops
+    # between iterates adds the note "objective decreased".
+    if rng is None:
+        rng = np.random.default_rng(0)
+    u = np.asarray(init, dtype=float)
+    u = u / np.linalg.norm(u)
+    notes = []
+    iterations = 0
+    restarts = 0
+    prev_obj = None
+    while iterations < max_iter:
+        update, obj = step(u)
+        if prev_obj is not None and obj < prev_obj - 1e-12 * max(1.0, prev_obj):
+            notes.append("objective decreased")
+        prev_obj = obj
+        nrm = np.linalg.norm(update)
+        if not np.isfinite(nrm) or nrm < _UNDERFLOW:
+            if restarts >= _MAX_RESTARTS:
+                notes.append("restarts exhausted")
+                break
+            restarts += 1
+            u = rng.standard_normal(len(u))
+            u /= np.linalg.norm(u)
+            prev_obj = None
+            continue
+        new_u = update / nrm
+        iterations += 1
+        crit = 1.0 - abs(float(new_u @ u))
+        u = new_u
+        if crit < tol:
+            return u, True, iterations, tuple(notes)
+    return u, False, iterations, tuple(notes)
 
 
 def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
@@ -218,53 +268,28 @@ def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     -------
     (u, converged, iterations, notes)
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    u = np.asarray(init, dtype=float)
-    u = u / np.linalg.norm(u)
-    slices = tk.slices
-    notes = []
-    iterations = 0
-    restarts = 0
-    prev_obj = _jade_objective(tk, u)
-    while iterations < max_iter:
-        update = sum(float(u @ s @ u) * (s @ u) for s in slices)
-        nrm = np.linalg.norm(update)
-        if not np.isfinite(nrm) or nrm < _UNDERFLOW:
-            if restarts >= _MAX_RESTARTS:
-                notes.append("restarts exhausted")
-                return u, False, iterations, tuple(notes)
-            restarts += 1
-            u = rng.standard_normal(len(u))
-            u /= np.linalg.norm(u)
-            prev_obj = _jade_objective(tk, u)
-            continue
-        new_u = update / nrm
-        iterations += 1
-        obj = _jade_objective(tk, new_u)
-        if obj < prev_obj - 1e-12 * max(1.0, prev_obj):
-            notes.append("objective decreased")
-        prev_obj = obj
-        crit = 1.0 - abs(float(new_u @ u))
-        u = new_u
-        if crit < tol:
-            return u, True, iterations, tuple(notes)
-    return u, False, iterations, tuple(notes)
+    t = tk.slices
+
+    def step(u):
+        tu = t @ u          # row k is T_k u
+        coef = tu @ u       # u' T_k u
+        return coef @ tu, float(coef @ coef)
+
+    return _fixed_point(step, init, tol, max_iter, rng)
 
 
 def est_jade3(data, init=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     """3-JADE estimate. init defaults to the TOBI eigenvector, computed
     from the same whitened slices; restarts draw from rng."""
     wh = whiten(data)
-    tk = mom.tk_slices(wh.whitened)
     notes = ()
     if init is None:
-        init, ambiguous = tobi_unit(tk)
+        init, ambiguous = tobi_unit(wh.tk)
         if ambiguous:
             notes = ("ambiguous leading eigenvalue in init",)
     u, converged, iterations, jade_notes = jade3_unit(
-        tk, init, tol=tol, max_iter=max_iter, rng=rng)
-    return _estimate(np.asarray(wh.whitener) @ u, JADE3, converged=converged,
+        wh.tk, init, tol=tol, max_iter=max_iter, rng=rng)
+    return _estimate(wh.whitener @ u, JADE3, converged=converged,
                      iterations=iterations, notes=notes + jade_notes)
 
 
@@ -294,52 +319,30 @@ def est_lda(data):
     cn = neg - mean_neg
     cp = pos - mean_pos
     s_w = (cn.T @ cn + cp.T @ cp) / data.n
-    root = np.asarray(inv_sqrt((s_w + s_w.T) / 2.0))
+    root = inv_sqrt((s_w + s_w.T) / 2.0)
     return _estimate(root @ (root @ (mean_pos - mean_neg)), LDA)
 
 
 def est_pp(data, init=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     """Projection pursuit plug-in (experimental): fixed point
     u <- normalize(mean((u'z)^2 z)) on the whitened data, a stationary
-    point of the squared projection skewness. Same restart policy as
-    JADE3; may legitimately return converged=False."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    point of the squared projection skewness. init defaults to the
+    whitened third-moment vector. Same loop and restart policy as JADE3;
+    may legitimately return converged=False.
+
+    Raises
+    ------
+    DegenerateSkewnessError
+        If the whitened third moment is below the degeneracy floor.
+    """
     wh = whiten(data)
+    c3 = wh.skewness()
     z = wh.whitened
-    c3w = _third_moment(z)
-    if np.linalg.norm(c3w) < skewness_floor(float(data.p)):
-        raise DegenerateSkewnessError(
-            "whitened third moment is numerically zero; the sample looks symmetric"
-        )
-    if init is None:
-        init = c3w
-    u = np.asarray(init, dtype=float)
-    u = u / np.linalg.norm(u)
-    iterations = 0
-    restarts = 0
-    notes = []
-    converged = False
-    while iterations < max_iter:
-        update = z.T @ ((z @ u) ** 2) / z.shape[0]
-        nrm = np.linalg.norm(update)
-        if not np.isfinite(nrm) or nrm < _UNDERFLOW:
-            if restarts >= _MAX_RESTARTS:
-                notes.append("restarts exhausted")
-                break
-            restarts += 1
-            u = rng.standard_normal(data.p)
-            u /= np.linalg.norm(u)
-            continue
-        new_u = update / nrm
-        iterations += 1
-        crit = 1.0 - abs(float(new_u @ u))
-        u = new_u
-        if crit < tol:
-            converged = True
-            break
-    return _estimate(np.asarray(wh.whitener) @ u, PP, converged=converged,
-                     iterations=iterations, notes=tuple(notes))
+    u, converged, iterations, notes = _fixed_point(
+        lambda u: (z.T @ ((z @ u) ** 2) / data.n, None),
+        c3 if init is None else init, tol, max_iter, rng)
+    return _estimate(wh.whitener @ u, PP, converged=converged,
+                     iterations=iterations, notes=notes)
 
 
 def align_sign(est, reference):
@@ -356,3 +359,28 @@ def align_sign(est, reference):
         unit=-est.unit if flip else est.unit,
         sign_reference_applied=True,
     )
+
+
+#: One row of the method table. run(data, alpha1, tol=, max_iter=, rng=)
+#: calls the method's est_* function by its name in this module, so a
+#: wrapper put there sees every call; alpha1 reaches only MOM, the
+#: fixed-point settings only JADE3 and PP. constant(alpha1, tau, p) is the
+#: limiting constant of n Var[t' unit] under identity covariance.
+Method = namedtuple("Method", "run needs_alpha1 needs_labels constant",
+                    defaults=(False, False, None))
+
+
+def _c0(alpha1, tau, p):
+    return c0_constant(alpha1, tau)
+
+
+#: The method table, keyed by tag in the order methods are listed.
+METHODS = {
+    MOM: Method(lambda data, alpha1, **fit: est_mom(data, alpha1), needs_alpha1=True),
+    SKEWVEC: Method(lambda data, alpha1, **fit: est_skewvec(data), constant=c_skewvec),
+    TOBI: Method(lambda data, alpha1, **fit: est_tobi(data), constant=_c0),
+    JADE3: Method(lambda data, alpha1, **fit: est_jade3(data, **fit), constant=_c0),
+    LDA: Method(lambda data, alpha1, **fit: est_lda(data), needs_labels=True,
+                constant=lambda alpha1, tau, p: c_lda(alpha1, tau)),
+    PP: Method(lambda data, alpha1, **fit: est_pp(data, **fit), constant=_c0),
+}

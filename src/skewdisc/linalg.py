@@ -7,8 +7,6 @@ result is the unique symmetric positive definite root and so that the
 singularity floor is an explicit, testable quantity.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NearSingularError, SymmetryError
@@ -76,20 +74,6 @@ class SpdMatrix:
         return f"SpdMatrix({self.entries!r})"
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue with its unit-length eigenvector."""
-
-    value: float
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("eigenvector is not unit length")
-        object.__setattr__(self, "vector", v)
-
-
 def _fix_sign(vectors):
     # Sign convention: the first coordinate of largest absolute value is
     # made nonnegative, so repeated decompositions are bitwise stable.
@@ -109,16 +93,14 @@ def sym_eigen(m):
 
     Returns
     -------
-    list of EigenPair
-        Eigenpairs sorted by descending eigenvalue. Eigenvectors are
-        orthonormal and sign-fixed (largest-magnitude coordinate
-        nonnegative).
+    (values, vectors) : (ndarray (p,), ndarray (p, p))
+        Eigenvalues in descending order; column i of vectors is the
+        eigenvector of values[i]. Eigenvectors are orthonormal and
+        sign-fixed (largest-magnitude coordinate nonnegative).
     """
     m = _check_symmetric(np.asarray(m, dtype=float))
     vals, vecs = np.linalg.eigh(m)
-    vecs = _fix_sign(vecs)
-    order = np.argsort(vals)[::-1]
-    return [EigenPair(float(vals[i]), vecs[:, i]) for i in order]
+    return vals[::-1], _fix_sign(vecs)[:, ::-1]
 
 
 def inv_sqrt(m, rel_floor=SINGULARITY_RTOL):
@@ -134,8 +116,9 @@ def inv_sqrt(m, rel_floor=SINGULARITY_RTOL):
 
     Returns
     -------
-    SpdMatrix
-        The unique symmetric positive definite R with R @ m @ R = I.
+    ndarray, shape (p, p)
+        The unique symmetric positive definite R with R @ m @ R = I,
+        symmetric to the last bit.
 
     Raises
     ------
@@ -150,7 +133,7 @@ def inv_sqrt(m, rel_floor=SINGULARITY_RTOL):
             f"[{vals[0]:.3e}, {vals[-1]:.3e}], relative floor {rel_floor:.1e}"
         )
     root = (vecs / np.sqrt(vals)) @ vecs.T
-    return SpdMatrix((root + root.T) / 2.0)
+    return (root + root.T) / 2.0
 
 
 def projector_pair(v):

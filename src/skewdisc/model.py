@@ -12,7 +12,7 @@ functions shift arbitrary means internally. Second- and higher-order
 central moments do not depend on the shift.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,16 +82,20 @@ class DerivedParams:
 class DataSet:
     """An n x p observation matrix with optional component labels.
 
-    Labels take values in {-1, +1}; component 1 maps to -1.
+    Labels take values in {-1, +1}; component 1 maps to -1. whitening
+    keeps the record estimators.whiten builds, for every later estimator.
     """
 
     observations: np.ndarray
     labels: np.ndarray | None = None
+    whitening: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)
         if obs.ndim != 2:
             raise ValueError("observations must be an n x p matrix")
+        if not np.isfinite(obs).all():
+            raise ValueError("observations must be finite (no nan or inf)")
         object.__setattr__(self, "observations", obs)
         if self.labels is not None:
             lab = np.asarray(self.labels)

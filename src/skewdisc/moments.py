@@ -24,18 +24,18 @@ class MomentSet:
 class TkSet:
     """Third-moment slices T_k of centered, whitened observations.
 
-    slices[k] = (1/n) sum_i z_i z_i' (e_k' z_i), each symmetric.
+    slices is one (p, p, p) array: slices[k] = (1/n) sum_i z_i z_i' (e_k' z_i),
+    each symmetric. A sequence of (p, p) slices is stacked on construction.
     """
 
-    slices: tuple
+    slices: np.ndarray
 
     def __post_init__(self):
-        slices = tuple(np.asarray(s, dtype=float) for s in self.slices)
-        for s in slices:
-            gap = np.linalg.norm(s - s.T)
-            if gap > 1e-10 * max(np.linalg.norm(s), 1.0):
-                raise ValueError("third-moment slices must be symmetric")
-        object.__setattr__(self, "slices", slices)
+        s = np.asarray(self.slices, dtype=float)
+        gap = np.linalg.norm(s - s.transpose(0, 2, 1), axis=(1, 2))
+        if (gap > 1e-10 * np.maximum(np.linalg.norm(s, axis=(1, 2)), 1.0)).any():
+            raise ValueError("third-moment slices must be symmetric")
+        object.__setattr__(self, "slices", s)
 
     @property
     def p(self):
@@ -62,15 +62,14 @@ def sample_moments(data):
 def tk_slices(whitened):
     """Third-moment slices of already centered and whitened data.
 
-    One pass per coordinate; no p^3 intermediate tensor is stored.
+    One pass per coordinate; no (n, p, p) intermediate is stored.
     """
     z = np.asarray(whitened, dtype=float)
-    n = z.shape[0]
-    out = []
-    for k in range(z.shape[1]):
-        s = z.T @ (z * z[:, [k]]) / n
-        out.append((s + s.T) / 2.0)
-    return TkSet(slices=tuple(out))
+    n, p = z.shape
+    t = np.empty((p, p, p))
+    for k in range(p):
+        t[k] = z.T @ (z * z[:, [k]]) / n
+    return TkSet(slices=(t + t.transpose(0, 2, 1)) / 2.0)
 
 
 def tobi_matrix(tk):

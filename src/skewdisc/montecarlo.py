@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimators
-from .asymptotics import c0_constant, c_lda, c_skewvec
+from .asymptotics import TAU_LIMIT
 from .errors import ConfigError, Error, WeightDivergenceError
 from .model import MixtureParams, sample
 
@@ -41,6 +41,10 @@ SIGMA_MODES = (SIGMA_IDENTITY, SIGMA_RANDOM_AAT)
 
 #: Environment variable consulted for the default worker count.
 WORKERS_ENV = "SKEWDISC_WORKERS"
+
+
+def _number(value, kind=(int, float)):
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -59,30 +63,34 @@ class ExperimentConfig:
     sigma_mode: str = SIGMA_IDENTITY
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
-        object.__setattr__(self, "tau_grid", tuple(self.tau_grid))
-        object.__setattr__(self, "n_grid", tuple(self.n_grid))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not (isinstance(self.p, int) and self.p >= 2):
+        for name in ("alpha_grid", "tau_grid", "n_grid", "methods"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name}: expected a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if not (_number(self.p, int) and self.p >= 2):
             raise ConfigError(f"p: must be an integer >= 2, got {self.p!r}")
-        if not self.alpha_grid or not all(0.5 < a < 1.0 for a in self.alpha_grid):
+        if not self.alpha_grid or not all(_number(a) and 0.5 < a < 1.0
+                                          for a in self.alpha_grid):
             raise ConfigError(
                 f"alpha_grid: every weight must lie in (0.5, 1), got {self.alpha_grid!r}")
-        if not self.tau_grid or not all(t > 0 for t in self.tau_grid):
+        if not self.tau_grid or not all(_number(t) and 1.0 / TAU_LIMIT <= t <= TAU_LIMIT
+                                        for t in self.tau_grid):
             raise ConfigError(
-                f"tau_grid: every value must be positive, got {self.tau_grid!r}")
-        if not self.n_grid or not all(isinstance(n, int) and n >= 2 for n in self.n_grid):
+                f"tau_grid: every value must lie in [{1.0 / TAU_LIMIT:g}, {TAU_LIMIT:g}], "
+                f"got {self.tau_grid!r}")
+        if not self.n_grid or not all(_number(n, int) and n >= 2 for n in self.n_grid):
             raise ConfigError(
                 f"n_grid: every sample size must be an integer >= 2, got {self.n_grid!r}")
-        if not (isinstance(self.reps, int) and self.reps >= 2):
+        if not (_number(self.reps, int) and self.reps >= 2):
             raise ConfigError(f"reps: must be at least 2, got {self.reps!r}")
-        if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
+        if not (_number(self.master_seed, int) and self.master_seed >= 0):
             raise ConfigError(
                 f"master_seed: must be a nonnegative integer, got {self.master_seed!r}")
-        unknown = [m for m in self.methods if m not in estimators.METHODS]
-        if not self.methods or unknown:
+        if not self.methods or not all(isinstance(m, str) and m in estimators.METHODS
+                                       for m in self.methods):
             raise ConfigError(
-                f"methods: expected a nonempty subset of {estimators.METHODS}, "
+                f"methods: expected a nonempty subset of {tuple(estimators.METHODS)}, "
                 f"got {self.methods!r}")
         if self.sigma_mode not in SIGMA_MODES:
             raise ConfigError(
@@ -150,27 +158,11 @@ def _mean_zero_params(alpha1, h, sigma):
     return MixtureParams(alpha1=alpha1, mu1=-alpha2 * h, mu2=alpha1 * h, sigma=sigma)
 
 
-def _estimate_one(method, data, alpha1, rng):
-    if method == estimators.MOM:
-        return estimators.est_mom(data, alpha1)
-    if method == estimators.SKEWVEC:
-        return estimators.est_skewvec(data)
-    if method == estimators.TOBI:
-        return estimators.est_tobi(data)
-    if method == estimators.JADE3:
-        return estimators.est_jade3(data, rng=rng)
-    if method == estimators.LDA:
-        return estimators.est_lda(data)
-    if method == estimators.PP:
-        return estimators.est_pp(data, rng=rng)
-    raise ConfigError(f"methods: unknown method {method!r}")
-
-
 def _evaluate(methods, data, theta, t, alpha1, tau, n, rep_index, rng):
     out = []
     for method in methods:
         try:
-            est = _estimate_one(method, data, alpha1, rng)
+            est = estimators.METHODS[method].run(data, alpha1, rng=rng)
         except (Error, ValueError, np.linalg.LinAlgError):
             out.append(ReplicateResult(method, n, alpha1, tau, rep_index,
                                        None, None, False))
@@ -248,19 +240,6 @@ def _grouped(config, results):
     return groups
 
 
-def _theory_constant(method, alpha1, tau, p):
-    try:
-        if method in (estimators.TOBI, estimators.JADE3, estimators.PP):
-            return c0_constant(alpha1, tau)
-        if method == estimators.SKEWVEC:
-            return c_skewvec(alpha1, tau, p)
-        if method == estimators.LDA:
-            return c_lda(alpha1, tau)
-    except WeightDivergenceError:
-        return None
-    return None
-
-
 def chat_experiment(config, workers=None):
     """Run the constant-recovery experiment. Returns rows sorted by
     (method, alpha1, tau, n) with keys method, alpha1, tau, n,
@@ -277,11 +256,16 @@ def chat_experiment(config, workers=None):
         c_hat = None
         if len(used) >= 2:
             c_hat = float(n * np.var([r.t_projection for r in used], ddof=1))
+        constant = estimators.METHODS[method].constant
+        try:
+            c_theory = None if constant is None else constant(alpha1, tau, config.p)
+        except WeightDivergenceError:
+            c_theory = None
         rows.append({
             "method": method, "alpha1": alpha1, "tau": tau, "n": n,
             "reps_used": len(used), "reps_failed": len(group) - len(used),
             "c_hat": c_hat,
-            "c_theory": _theory_constant(method, alpha1, tau, config.p),
+            "c_theory": c_theory,
         })
     rows.sort(key=lambda r: (r["method"], r["alpha1"], r["tau"], r["n"]))
     return rows

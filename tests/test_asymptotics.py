@@ -92,7 +92,7 @@ class TestScalarConstants:
         assert c0_constant(0.5 + 2 * WEIGHT_MARGIN, 4.0) > 0
         assert c0_constant(1.0 - 2 * WEIGHT_MARGIN, 4.0) > 0
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, 1e308, 1e-300, float("nan")])
     def test_bad_tau_refused(self, tau):
         with pytest.raises(ValueError):
             c0_constant(0.7, tau)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from skewdisc.cli import CHAT_COLUMNS, MSI_COLUMNS, CsvFormatError, load_csv, main
+from skewdisc import estimators
 from skewdisc.linalg import SpdMatrix
 from skewdisc.model import MixtureParams, sample
 from skewdisc.montecarlo import msi
@@ -84,6 +85,9 @@ class TestLoadCsv:
         ("x,y\n1.0,2.0\n3.0,oops\n", 3),
         ("x,label\n1.0,7\n", 2),
         ("x,y\n", 2),
+        ("x,y\n1.0,2.0\n\n3.0,nan\n", 4),
+        ("x,y\ninf,2.0\n", 2),
+        ("x,label\n1.0,1\n-inf,-1\n", 3),
     ])
     def test_errors_carry_line_numbers(self, tmp_path, content, line):
         path = tmp_path / "bad.csv"
@@ -168,6 +172,36 @@ class TestEstimate:
         assert payload["error"] == "CsvFormatError"
         assert "line 3" in payload["message"]
 
+    def test_non_finite_value(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("x,y\n1.0,2.0\n3.0,1.5\nnan,4.0\n")
+        code, out, err = run_cli(
+            ["estimate", str(path), "--method", "tobi"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "CsvFormatError"
+        assert "line 4" in payload["message"]
+
+    def test_every_method_matches_direct_call(self, labeled_csv, capsys):
+        # each row of the method table runs its est_* function unchanged
+        for tag, method in estimators.METHODS.items():
+            fit = getattr(estimators, f"est_{tag.lower()}")
+            data = load_csv(labeled_csv)
+            argv = ["estimate", labeled_csv, "--method", tag.lower(), "--seed", "5"]
+            if method.needs_alpha1:
+                est = fit(data, 0.7)
+                argv += ["--alpha1", "0.7"]
+            elif tag in (estimators.JADE3, estimators.PP):
+                est = fit(data, rng=np.random.default_rng(5))
+            else:
+                est = fit(data)
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            report = json.loads(out)
+            assert report["unit"] == est.unit.tolist(), tag
+            assert report["iterations"] == est.iterations
+
     def test_seed_reproducible(self, sample_csv, capsys):
         argv = ["estimate", sample_csv, "--method", "jade3", "--seed", "3"]
         _, first, _ = run_cli(argv, capsys)
@@ -239,6 +273,13 @@ class TestConstants:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert stderr_payload(err)["error"] == "UsageError"
+
+    def test_out_of_range_tau_refused(self, capsys):
+        code, _, err = run_cli(
+            ["constants", "--alpha1", "0.7", "--tau", "1e308", "--p", "3"],
+            capsys)
+        assert code == 2
+        assert stderr_payload(err)["error"] == "ValueError"
 
     def test_symmetric_weight_refused(self, capsys):
         code, _, err = run_cli(
@@ -359,3 +400,19 @@ class TestSimulate:
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["c_theory"] == ""
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha_grid", ["x"]),
+        ("tau_grid", [1e308]),
+        ("methods", "TOBI"),
+        ("master_seed", True),
+    ])
+    def test_config_types_refused(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "cfg.json", **{field: value})
+        code, out, err = run_cli(
+            ["simulate-chat", cfg, str(tmp_path / "o.csv")], capsys)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"{field}:")

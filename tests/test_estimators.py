@@ -218,6 +218,16 @@ class TestWhiten:
         np.testing.assert_allclose(z.mean(axis=0), np.zeros(4), atol=1e-10)
         np.testing.assert_allclose(z.T @ z / len(z), np.eye(4), atol=1e-10)
 
+    def test_record_kept_on_dataset(self):
+        ds = sample(reference_params(), 500, np.random.default_rng(39))
+        wh = whiten(ds)
+        assert whiten(ds) is wh and ds.whitening is wh
+        assert wh.tk is wh.tk
+        # c3_k = (1/n) sum_i ||z_i||^2 z_ik is the trace of T_k
+        np.testing.assert_allclose(np.trace(wh.tk.slices, axis1=1, axis2=2),
+                                   wh.c3, atol=1e-12)
+        assert not wh.symmetric
+
     def test_singular_covariance_raises(self):
         x = np.zeros((10, 2))
         x[:, 0] = np.arange(10.0)
@@ -259,6 +269,15 @@ class TestDegenerateInputs:
         tk = TkSet(slices=(np.eye(2), np.zeros((2, 2))))
         _, ambiguous = tobi_unit(tk)
         assert ambiguous
+
+    def test_jade3_notes_a_falling_objective(self):
+        # slices that are not a sample third moment: the update need not
+        # climb sum_k (u' T_k u)^2, and a drop must show in the notes
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((2, 2, 2))
+        tk = TkSet(slices=(a + a.transpose(0, 2, 1)) / 2.0)
+        _, _, _, notes = jade3_unit(tk, init=rng.standard_normal(2), max_iter=50)
+        assert "objective decreased" in notes
 
     def test_jade3_all_zero_slices_exhausts_restarts(self):
         tk = TkSet(slices=(np.zeros((2, 2)), np.zeros((2, 2))))

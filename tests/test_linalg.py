@@ -33,25 +33,22 @@ class TestSpdMatrix:
 
 class TestSymEigen:
     def test_diagonal(self):
-        pairs = sym_eigen(np.diag([4.0, 9.0]))
-        assert pairs[0].value == pytest.approx(9.0)
-        assert pairs[1].value == pytest.approx(4.0)
-        np.testing.assert_allclose(np.abs(pairs[0].vector), [0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(pairs[1].vector), [1.0, 0.0], atol=1e-12)
+        values, vectors = sym_eigen(np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(values, [9.0, 4.0])
+        np.testing.assert_allclose(np.abs(vectors[:, 0]), [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(vectors[:, 1]), [1.0, 0.0], atol=1e-12)
 
     def test_two_by_two_hand_values(self):
-        pairs = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert pairs[0].value == pytest.approx(3.0)
-        assert pairs[1].value == pytest.approx(1.0)
+        values, vectors = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(values, [3.0, 1.0])
         s = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(pairs[0].vector, [s, s], atol=1e-12)
-        np.testing.assert_allclose(pairs[1].vector, [s, -s], atol=1e-12)
+        np.testing.assert_allclose(vectors[:, 0], [s, s], atol=1e-12)
+        np.testing.assert_allclose(vectors[:, 1], [s, -s], atol=1e-12)
 
     def test_identity(self):
-        pairs = sym_eigen(np.eye(3))
-        assert [p.value for p in pairs] == pytest.approx([1.0, 1.0, 1.0])
-        basis = np.column_stack([p.vector for p in pairs])
-        np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+        values, vectors = sym_eigen(np.eye(3))
+        np.testing.assert_allclose(values, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(3), atol=1e-12)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(0)
@@ -59,25 +56,22 @@ class TestSymEigen:
             p = int(rng.integers(2, 8))
             a = rng.standard_normal((p, p))
             m = a + a.T
-            pairs = sym_eigen(m)
-            assert all(pairs[i].value >= pairs[i + 1].value
-                       for i in range(p - 1))
-            recon = sum(pr.value * np.outer(pr.vector, pr.vector) for pr in pairs)
+            values, vectors = sym_eigen(m)
+            assert all(values[i] >= values[i + 1] for i in range(p - 1))
+            recon = (vectors * values) @ vectors.T
             np.testing.assert_allclose(recon, m,
                                        atol=1e-10 * np.linalg.norm(m))
-            basis = np.column_stack([pr.vector for pr in pairs])
-            np.testing.assert_allclose(basis.T @ basis, np.eye(p), atol=1e-10)
+            np.testing.assert_allclose(vectors.T @ vectors, np.eye(p), atol=1e-10)
 
     def test_sign_convention_is_stable(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5))
         m = a @ a.T
-        first = sym_eigen(m)
-        second = sym_eigen(m.copy())
-        for u, v in zip(first, second):
-            np.testing.assert_array_equal(u.vector, v.vector)
-            lead = u.vector[np.argmax(np.abs(u.vector))]
-            assert lead >= 0.0
+        _, first = sym_eigen(m)
+        _, second = sym_eigen(m.copy())
+        np.testing.assert_array_equal(first, second)
+        for u in first.T:
+            assert u[np.argmax(np.abs(u))] >= 0.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):

@@ -116,6 +116,13 @@ class TestDataSet:
         with pytest.raises(ValueError):
             DataSet(observations=np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        obs = np.zeros((3, 2))
+        obs[1, 0] = bad
+        with pytest.raises(ValueError):
+            DataSet(observations=obs)
+
 
 class TestSample:
     def test_reproducible(self):

@@ -4,10 +4,13 @@ aggregation and the two experiment protocols."""
 import numpy as np
 import pytest
 
+from skewdisc import estimators, linalg, model, moments
 from skewdisc.asymptotics import c0_constant, c_lda, c_skewvec
 from skewdisc.errors import ConfigError
+from skewdisc.estimators import align_sign
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_MODES,
                                  SIGMA_RANDOM_AAT, ExperimentConfig,
+                                 _chat_replicate, _mean_zero_params,
                                  chat_experiment, msi_experiment, msi,
                                  orth_unit, rng_stream)
 
@@ -53,11 +56,25 @@ class TestExperimentConfig:
         ("methods", ("BOGUS",), "methods:"),
         ("methods", (), "methods:"),
         ("sigma_mode", "diag", "sigma_mode:"),
+        ("alpha_grid", ("x",), "alpha_grid:"),
+        ("alpha_grid", (True,), "alpha_grid:"),
+        ("alpha_grid", 0.7, "alpha_grid:"),
+        ("tau_grid", (1e308,), "tau_grid:"),
+        ("tau_grid", (float("inf"),), "tau_grid:"),
+        ("tau_grid", (float("nan"),), "tau_grid:"),
+        ("methods", "TOBI", "methods:"),
+        ("methods", (["TOBI"],), "methods:"),
+        ("master_seed", True, "master_seed:"),
     ])
     def test_rejects_bad_field(self, field, value, fragment):
         with pytest.raises(ConfigError) as excinfo:
             small_config(**{field: value})
         assert str(excinfo.value).startswith(fragment)
+
+    def test_bare_string_methods_not_split(self):
+        with pytest.raises(ConfigError) as excinfo:
+            small_config(methods="TOBI")
+        assert str(excinfo.value).endswith("got 'TOBI'")
 
     def test_all_methods_accepted(self):
         assert small_config(methods=ALL_SIX).methods == ALL_SIX
@@ -292,3 +309,58 @@ class TestMsiExperiment:
         by_method = {r["method"]: r["mean_msi"] for r in msi_experiment(cfg)}
         assert by_method["LDA"] >= by_method["TOBI"]
         assert by_method["LDA"] >= by_method["SKEWVEC"]
+
+
+def count_calls(monkeypatch, calls, home, name):
+    """Replace every package binding of home.name by a wrapper that
+    counts its calls in calls[name]."""
+    original = getattr(home, name)
+
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    calls[name] = 0
+    for module in (linalg, moments, model, estimators):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+
+
+class TestSharedWhitening:
+    """A replicate runs every method on one dataset; the whitening and
+    the T_k slices are computed once and shared."""
+
+    def run_six(self, monkeypatch):
+        calls = {}
+        count_calls(monkeypatch, calls, linalg, "inv_sqrt")
+        count_calls(monkeypatch, calls, moments, "tk_slices")
+        cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
+        results = _chat_replicate(cfg, 0, 0.7, 8.0, 600, 0)
+        assert all(r.converged for r in results)
+        return calls
+
+    def test_inv_sqrt_once_for_whitening_once_for_lda(self, monkeypatch):
+        assert self.run_six(monkeypatch)["inv_sqrt"] == 2
+
+    def test_tk_slices_built_once(self, monkeypatch):
+        assert self.run_six(monkeypatch)["tk_slices"] == 1
+
+    def test_replicate_matches_direct_calls(self):
+        # the method table gives each method the same answer as calling
+        # its est_* function on the same draw
+        cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
+        results = _chat_replicate(cfg, 0, 0.7, 8.0, 600, 1)
+        rng = rng_stream(cfg.master_seed, 1)
+        h = np.array([np.sqrt(8.0), 0.0, 0.0])
+        data = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600, rng)
+        assert [r.method for r in results] == list(estimators.METHODS)
+        for r in results:
+            fit = getattr(estimators, f"est_{r.method.lower()}")
+            if estimators.METHODS[r.method].needs_alpha1:
+                est = fit(data, 0.7)
+            elif r.method in (estimators.JADE3, estimators.PP):
+                est = fit(data, rng=rng)
+            else:
+                est = fit(data)
+            want = float(orth_unit(h) @ align_sign(est, h).unit)
+            assert r.t_projection == want, r.method
