@@ -4,8 +4,9 @@ of a two-component Gaussian location mixture, using third moments."""
 from .asymptotics import (AsymptoticSpec, avar_ae, avar_mom, c0_constant,
                           c_lda, c_skewvec)
 from .errors import (ConfigError, DegenerateSkewnessError, Error,
-                     NearSingularError, SupervisionRequiredError,
-                     SymmetryError, WeightDivergenceError)
+                     NearSingularError, NonFiniteError,
+                     SupervisionRequiredError, SymmetryError,
+                     WeightDivergenceError)
 from .estimators import (DirectionEstimate, Whitening, align_sign, est_jade3,
                          est_lda, est_mom, est_pp, est_skewvec, est_tobi,
                          whiten)
@@ -20,7 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticSpec", "ConfigError", "DataSet", "DegenerateSkewnessError",
     "DerivedParams", "DirectionEstimate", "Error", "ExperimentConfig",
-    "MixtureParams", "MomentSet", "NearSingularError", "PopulationMoments",
+    "MixtureParams", "MomentSet", "NearSingularError", "NonFiniteError",
+    "PopulationMoments",
     "ReplicateResult", "SupervisionRequiredError", "SymmetryError", "TkSet",
     "WeightDivergenceError", "Whitening", "align_sign", "avar_ae", "avar_mom",
     "c0_constant", "c_lda", "c_skewvec", "chat_experiment", "derive",

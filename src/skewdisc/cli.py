@@ -21,14 +21,15 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import estimators
 from .asymptotics import avar_ae, avar_mom, c0_constant, c_lda, c_skewvec
 from .errors import (ConfigError, DegenerateSkewnessError, Error,
-                     NearSingularError, SupervisionRequiredError,
-                     WeightDivergenceError)
+                     NearSingularError, NonFiniteError,
+                     SupervisionRequiredError, WeightDivergenceError)
 from .model import DataSet, MixtureParams
 from .montecarlo import ExperimentConfig, chat_experiment, msi_experiment
 
@@ -47,54 +48,99 @@ class UsageError(Error):
     """A subcommand was invoked with inconsistent or missing options."""
 
 
+#: The label column's tokens and their values; any other token is refused.
+_LABELS = {"-1": -1.0, "1": 1.0, "+1": 1.0}
+
+
+def _label(token):
+    return _LABELS[token.strip()]
+
+
+def _loadtxt(source, **options):
+    # The one CSV dialect: comma-separated, '"'-quoted, no comments, blank
+    # lines skipped. source is an open file or a list of lines.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, delimiter=",", quotechar='"', comments=None, **options)
+
+
+def _raises(parse, lines):
+    try:
+        parse(lines)
+    except ValueError:
+        return True
+    return False
+
+
+def _first_failing(path, fails):
+    """(number, text) of the first body line at which the body, read up to
+    and including it, fails. Lines are numbered as the file iterator numbers
+    them, blank lines included; the parser skips blank ones."""
+    with open(path, encoding="utf-8") as fh:
+        body = [(no, line) for no, line in enumerate(fh, start=1)
+                if no > 1 and line != "\n"]
+    good, bad = 0, len(body)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if fails([line for _, line in body[:mid]]):
+            bad = mid
+        else:
+            good = mid
+    return body[bad - 1]
+
+
+def _diagnose(line, width, label_col, feature_cols):
+    """Why a body line fails: its field count, then its features, then its
+    label. A line that parses alone failed only after an unclosed quote."""
+    fields = _loadtxt([line], dtype=str, ndmin=1)
+    if len(fields) != width:
+        return f"expected {width} fields, got {len(fields)}"
+    if _raises(lambda lines: _loadtxt(lines, dtype=float, usecols=feature_cols), [line]):
+        return "non-numeric feature value"
+    if label_col is not None and fields[label_col].strip() not in _LABELS:
+        return f"label must be -1 or 1, got {fields[label_col].strip()!r}"
+    return "row cannot be parsed after an unclosed quote"
+
+
 def load_csv(path):
     """Read a headered feature CSV into a DataSet. A column named
     "label" (any position) becomes the labels; every other column must
     be numeric."""
-    import csv as csvmod
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csvmod.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise CsvFormatError(f"{path}: line 1: empty file") from None
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise CsvFormatError(f"{path}: line 1: empty file")
+        header = [c.strip() for c in _loadtxt([first], dtype=str, ndmin=1)]
         label_col = header.index("label") if "label" in header else None
         feature_cols = [i for i in range(len(header)) if i != label_col]
         if not feature_cols:
             raise CsvFormatError(f"{path}: line 1: no feature columns")
-        rows = []
-        labels = []
-        line_nos = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            line_nos.append(line_no)
-            if len(record) != len(header):
-                raise CsvFormatError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, "
-                    f"got {len(record)}")
-            try:
-                rows.append([float(record[i]) for i in feature_cols])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: line {line_no}: non-numeric feature value") from None
-            if label_col is not None:
-                value = record[label_col].strip()
-                if value not in ("-1", "1", "+1"):
-                    raise CsvFormatError(
-                        f"{path}: line {line_no}: label must be -1 or 1, "
-                        f"got {value!r}")
-                labels.append(int(value))
-    if not rows:
+
+        def parse(source):
+            # Body rows as one float array, the label column converted;
+            # ValueError on any value, label or row width the dialect refuses.
+            table = _loadtxt(source, dtype=float, ndmin=2,
+                             converters=None if label_col is None else {label_col: _label})
+            if len(table) and table.shape[1] != len(header):
+                raise ValueError(f"expected {len(header)} fields")
+            return table
+
+        try:
+            table = parse(fh)
+        except ValueError:
+            table = None
+    if table is None:
+        line_no, line = _first_failing(path, lambda lines: _raises(parse, lines))
+        reason = _diagnose(line, len(header), label_col, feature_cols)
+        raise CsvFormatError(f"{path}: line {line_no}: {reason}")
+    if not len(table):
         raise CsvFormatError(f"{path}: line 2: no data rows")
-    observations = np.array(rows, dtype=float)
-    finite = np.isfinite(observations).all(axis=1)
-    if not finite.all():
-        raise CsvFormatError(f"{path}: line {line_nos[int(np.argmin(finite))]}: "
-                             f"non-finite feature value")
-    return DataSet(observations,
-                   labels=np.array(labels) if label_col is not None else None)
+    if not np.isfinite(table).all():
+        line_no, _ = _first_failing(path, lambda lines: not np.isfinite(parse(lines)).all())
+        raise CsvFormatError(f"{path}: line {line_no}: non-finite feature value")
+    if label_col is None:
+        return DataSet(table)
+    return DataSet(np.delete(table, label_col, axis=1), labels=table[:, label_col])
 
 
 def _require_file(path):
@@ -112,14 +158,20 @@ def _cmd_estimate(args):
     method = estimators.METHODS[args.method.upper()]
     if method.needs_alpha1 and args.alpha1 is None:
         raise UsageError(f"--alpha1 is required for method {args.method}")
+    if not method.needs_alpha1 and args.alpha1 is not None:
+        raise UsageError(f"--alpha1 is not accepted by method {args.method}")
     _require_file(args.input)
     data = load_csv(args.input)
     if method.needs_labels and data.labels is None:
         raise SupervisionRequiredError(
             f"method {args.method} needs a 'label' column in {args.input}")
     rng = None if args.seed is None else np.random.default_rng(args.seed)
-    est = method.run(data, args.alpha1, tol=args.tol, max_iter=args.max_iter, rng=rng)
-    centered = data.observations - data.observations.mean(axis=0)
+    # Overflow shows up as a typed error, not as loose warnings on stderr.
+    with np.errstate(all="ignore"):
+        est = method.run(data, args.alpha1, tol=args.tol, max_iter=args.max_iter, rng=rng)
+        mean = (data.observations.mean(axis=0) if data.whitening is None
+                else data.whitening.mean)
+        scores = (data.observations - mean) @ est.unit
     report = {
         "method": est.method,
         "n": data.n,
@@ -129,9 +181,12 @@ def _cmd_estimate(args):
         "converged": est.converged,
         "iterations": est.iterations,
         "notes": list(est.notes),
-        "scores": (centered @ est.unit).tolist(),
+        "scores": scores.tolist(),
     }
-    text = json.dumps(report, indent=2)
+    # One key per line, each value by json's C encoder (indent= would force
+    # the pure-Python one), so arrays stay inline.
+    text = "{\n" + ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
+                               for key, value in report.items()) + "\n}"
     if args.output is None:
         print(text)
     else:
@@ -299,7 +354,7 @@ def main(argv=None):
             WeightDivergenceError) as exc:
         return _fail(2, exc)
     except (CsvFormatError, DegenerateSkewnessError, NearSingularError,
-            np.linalg.LinAlgError, OSError) as exc:
+            NonFiniteError, np.linalg.LinAlgError, OSError) as exc:
         return _fail(1, exc)
     except ValueError as exc:
         return _fail(2, exc)

@@ -23,6 +23,11 @@ class DegenerateSkewnessError(Error):
     symmetric and the discriminant direction is unidentifiable."""
 
 
+class NonFiniteError(Error):
+    """A moment or a direction is not finite although the data are: the
+    data's scale overflows double precision."""
+
+
 class SupervisionRequiredError(Error):
     """A supervised estimator was called on data without labels."""
 

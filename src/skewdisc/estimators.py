@@ -24,6 +24,7 @@ table, is what the command line and the simulations dispatch through.
 """
 
 import dataclasses
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import moments as mom
 from .asymptotics import c0_constant, c_lda, c_skewvec
-from .errors import DegenerateSkewnessError, SupervisionRequiredError
+from .errors import DegenerateSkewnessError, NonFiniteError, SupervisionRequiredError
 from .linalg import inv_sqrt, sym_eigen
 
 MOM = "MOM"
@@ -102,6 +103,8 @@ class Whitening:
 def _estimate(raw, method, converged=True, iterations=0, notes=()):
     raw = np.asarray(raw, dtype=float)
     nrm = np.linalg.norm(raw)
+    if not math.isfinite(nrm):
+        raise NonFiniteError(f"{method} produced a non-finite direction; rescale the data")
     if nrm == 0.0:
         raise DegenerateSkewnessError(f"{method} produced a zero direction")
     return DirectionEstimate(raw=raw, unit=raw / nrm, method=method,
@@ -111,8 +114,10 @@ def _estimate(raw, method, converged=True, iterations=0, notes=()):
 
 def skewness_floor(c2_trace):
     """Degeneracy floor for third-moment norms: below it the sample is
-    treated as symmetric and direction estimation refuses to guess."""
-    return 1e-10 * c2_trace ** 1.5
+    treated as symmetric and direction estimation refuses to guess.
+    Written so that it stays finite wherever the floor itself is (a float
+    ** 1.5 raises OverflowError beyond trace 1e205)."""
+    return 1e-10 * c2_trace * c2_trace ** 0.5
 
 
 def whiten(data):
@@ -125,6 +130,8 @@ def whiten(data):
     ------
     NearSingularError
         If the sample covariance is numerically singular.
+    NonFiniteError
+        If the sample covariance overflows.
     """
     if data.whitening is None:
         ms = mom.sample_moments(data)
@@ -167,8 +174,12 @@ def est_mom(data, alpha1):
         If the sample third moment is below the degeneracy floor.
     numpy.linalg.LinAlgError
         If the inner matrix is singular.
+    NonFiniteError
+        If the moments or the direction overflow.
     """
     ms = mom.sample_moments(data)
+    if not np.isfinite(ms.c3_hat).all():
+        raise NonFiniteError("sample third moment overflows; rescale the data")
     if np.linalg.norm(ms.c3_hat) < skewness_floor(float(np.trace(ms.c2_hat))):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
@@ -306,6 +317,8 @@ def est_lda(data):
         If either class occupies fewer than 2 rows.
     NearSingularError
         If the pooled covariance is numerically singular.
+    NonFiniteError
+        If the pooled covariance overflows.
     """
     if data.labels is None:
         raise SupervisionRequiredError("LDA needs labeled data")
@@ -319,6 +332,8 @@ def est_lda(data):
     cn = neg - mean_neg
     cp = pos - mean_pos
     s_w = (cn.T @ cn + cp.T @ cp) / data.n
+    if not np.isfinite(s_w).all():
+        raise NonFiniteError("pooled covariance overflows; rescale the data")
     root = inv_sqrt((s_w + s_w.T) / 2.0)
     return _estimate(root @ (root @ (mean_pos - mean_neg)), LDA)
 

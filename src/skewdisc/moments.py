@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -47,6 +49,8 @@ def sample_moments(data):
 
     c3_hat = (1/n) sum_i (x_i - mean)(x_i - mean)'(x_i - mean), the
     vector of row-wise squared norms weighted against the centered rows.
+    A covariance that overflows raises NonFiniteError. c3_hat overflows
+    first, but whitening does not use it, so est_mom, which does, checks it.
     """
     x = data.observations
     n = data.n
@@ -55,6 +59,8 @@ def sample_moments(data):
     mean = x.mean(axis=0)
     xc = x - mean
     c2 = xc.T @ xc / n
+    if not np.isfinite(c2).all():
+        raise NonFiniteError("sample covariance overflows; rescale the data")
     c3 = xc.T @ (xc * xc).sum(axis=1) / n
     return MomentSet(mean=mean, c2_hat=(c2 + c2.T) / 2.0, c3_hat=c3, n=n)
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,84 @@ class TestLoadCsv:
         assert f"line {line}" in str(excinfo.value)
         assert str(path) in str(excinfo.value)
 
+    def test_quoted_fields(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('"x","label","y"\n"1.5","-1","2"\n3.0,"+1","4e1"\n')
+        ds = load_csv(str(path))
+        np.testing.assert_array_equal(ds.observations, [[1.5, 2.0], [3.0, 40.0]])
+        np.testing.assert_array_equal(ds.labels, [-1, 1])
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"x,y\r\n1.0,2.0\r\n\r\n3.0,4.0\r\n")
+        np.testing.assert_array_equal(load_csv(str(path)).observations,
+                                      [[1.0, 2.0], [3.0, 4.0]])
+        path.write_bytes(b"x,y\r\n1.0,2.0\r\n\r\n3.0,oops\r\n")
+        with pytest.raises(CsvFormatError, match="line 4"):
+            load_csv(str(path))
+
+    def test_spaces_around_values(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(" x , label ,y\n 1.5 , +1 ,\t2 \n3 ,-1, 4\n")
+        ds = load_csv(str(path))
+        np.testing.assert_array_equal(ds.observations, [[1.5, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.labels, [1, -1])
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("x,y\n1.0,2.0\n3.0,4.0")
+        np.testing.assert_array_equal(load_csv(str(path)).observations,
+                                      [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("token", ["1.0", "2", "", "one", "1 1"])
+    def test_only_exact_label_tokens(self, tmp_path, token):
+        path = tmp_path / "l.csv"
+        path.write_text(f"x,label\n1.0,+1\n2.0,-1\n3.0,{token}\n")
+        with pytest.raises(CsvFormatError) as excinfo:
+            load_csv(str(path))
+        assert "line 4: label must be -1 or 1" in str(excinfo.value)
+
+    def test_python_only_float_spelling_refused(self, tmp_path):
+        # float() reads "1_000"; the CSV dialect does not
+        path = tmp_path / "u.csv"
+        path.write_text("x,y\n1.0,2.0\n1_000,3.0\n")
+        with pytest.raises(CsvFormatError, match="line 3: non-numeric"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("bad,reason", [
+        ("3.0,oops", "non-numeric feature value"),
+        ("3.0", "expected 2 fields, got 1"),
+        ("3.0,4.0,5.0", "expected 2 fields, got 3"),
+        ("nan,4.0", "non-finite feature value"),
+    ])
+    def test_bad_line_deep_in_file(self, tmp_path, bad, reason):
+        # lines 2..10001 are good, 10002 is blank and still counted
+        path = tmp_path / "deep.csv"
+        path.write_text("x,y\n" + "1.5,-2.5\n" * 10_000 + "\n" + bad + "\n1.0,2.0\n")
+        with pytest.raises(CsvFormatError) as excinfo:
+            load_csv(str(path))
+        assert str(excinfo.value) == f"{path}: line 10003: {reason}"
+
+    def test_lines_split_only_at_newlines(self, tmp_path):
+        # form feed and U+2028 are not line breaks, so later lines keep
+        # their numbers
+        path = tmp_path / "ff.csv"
+        path.write_text("x,y\n1.0,2.0\x0c\n3.0,4.0\u2028\n5.0,oops\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="line 4"):
+            load_csv(str(path))
+
+    def test_header_only_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("x,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="line 2: no data rows"):
+                load_csv(str(path))
+        code, out, err = run_cli(["estimate", str(path), "--method", "tobi"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert stderr_payload(err)["message"] == f"{path}: line 2: no data rows"
+
 
 class TestEstimate:
     def test_report_to_stdout(self, sample_csv, capsys):
@@ -135,6 +214,43 @@ class TestEstimate:
         payload = stderr_payload(err)
         assert payload["error"] == "UsageError"
         assert "--alpha1" in payload["message"]
+
+    @pytest.mark.parametrize("method", ["skewvec", "tobi", "jade3", "lda", "pp"])
+    def test_alpha1_refused_outside_mom(self, labeled_csv, capsys, method):
+        code, out, err = run_cli(
+            ["estimate", labeled_csv, "--method", method, "--alpha1", "0.7"], capsys)
+        assert code == 2 and out == ""
+        payload = stderr_payload(err)
+        assert payload["error"] == "UsageError"
+        assert "--alpha1" in payload["message"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["mom", "skewvec", "tobi", "jade3", "lda", "pp"])
+    def test_overflowing_moments(self, tmp_path, capsys, method):
+        # finite values whose squares overflow: a typed failure, never a
+        # NaN report with exit 0, and no warning besides the one JSON line
+        rng = np.random.default_rng(63)
+        data = sample(mixture_params(), 300, rng)
+        huge = type(data)(data.observations * 1e160, labels=data.labels)
+        path = write_dataset(tmp_path / "huge.csv", huge, with_labels=True)
+        argv = ["estimate", path, "--method", method]
+        if method == "mom":
+            argv += ["--alpha1", "0.7"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert stderr_payload(err)["error"] == "NonFiniteError"
+
+    def test_report_layout(self, sample_csv, capsys):
+        # one key per line, arrays inline
+        code, out, _ = run_cli(["estimate", sample_csv, "--method", "tobi"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        report = json.loads(out)
+        assert lines[0] == "{" and lines[-1] == "}"
+        assert len(lines) == len(report) + 2
+        for line, (key, value) in zip(lines[1:-1], report.items()):
+            assert line.rstrip(",") == f"  {json.dumps(key)}: {json.dumps(value)}"
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_cli(

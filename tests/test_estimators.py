@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skewdisc.errors import (DegenerateSkewnessError, NearSingularError,
-                             SupervisionRequiredError)
+                             NonFiniteError, SupervisionRequiredError)
 from skewdisc.estimators import (DEFAULT_MAX_ITER, JADE3, LDA, METHODS, MOM,
                                  PP, SKEWVEC, TOBI, align_sign, est_jade3,
                                  est_lda, est_mom, est_pp, est_skewvec,
@@ -258,6 +258,23 @@ class TestDegenerateInputs:
     def test_skewness_floor_scaling(self):
         assert skewness_floor(1.0) == pytest.approx(1e-10)
         assert skewness_floor(4.0) == pytest.approx(8e-10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-150, 1e120, 1e160])
+    def test_overflow_is_typed(self, scale):
+        # finite data whose moments leave double range: NonFiniteError,
+        # never a NaN direction or a bare OverflowError
+        ds = sample(reference_params(), 200, np.random.default_rng(46))
+        huge = DataSet(ds.observations * scale, labels=ds.labels)
+        with pytest.raises(NonFiniteError):
+            est_mom(huge, 0.7)
+        if scale > 1e150:
+            for fit in (est_skewvec, est_tobi, est_jade3, est_lda, est_pp):
+                with pytest.raises(NonFiniteError):
+                    fit(DataSet(huge.observations, labels=huge.labels))
+
+    def test_skewness_floor_finite_at_huge_trace(self):
+        assert skewness_floor(1e210) == pytest.approx(1e305)
 
     def test_mom_alpha_validation(self):
         ds = sample(reference_params(), 100, np.random.default_rng(41))

@@ -7,6 +7,7 @@ from skewdisc.model import (DataSet, MixtureParams, derive,
                             population_moments,
                             population_third_moment_slices, sample,
                             whitened_mixture)
+from skewdisc.errors import NonFiniteError
 from skewdisc.linalg import SpdMatrix
 from skewdisc.moments import TkSet, sample_moments, tk_slices, tobi_matrix
 
@@ -76,6 +77,12 @@ class TestSampleMoments:
         med_small = float(np.median(errors[10000]))
         med_large = float(np.median(errors[40000]))
         assert med_large < 3.0 * med_small * 0.5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_covariance_rejected(self):
+        x = np.random.default_rng(24).standard_normal((40, 3)) * 1e160
+        with pytest.raises(NonFiniteError):
+            sample_moments(DataSet(observations=x))
 
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValueError):
