@@ -12,9 +12,9 @@ from .estimators import (DirectionEstimate, Whitening, align_sign, est_jade3,
                          whiten)
 from .model import (DataSet, DerivedParams, MixtureParams, PopulationMoments,
                     derive, population_moments, sample, whitened_population)
-from .moments import MomentSet, TkSet, sample_moments, tk_slices, tobi_matrix
-from .montecarlo import (ExperimentConfig, ReplicateResult, chat_experiment,
-                         msi, msi_experiment, orth_unit, rng_stream)
+from .moments import MomentSet, sample_moments, tk_slices, tobi_matrix
+from .montecarlo import (ExperimentConfig, chat_experiment, msi,
+                         msi_experiment, orth_unit, rng_stream)
 
 __version__ = "0.1.0"
 
@@ -22,8 +22,7 @@ __all__ = [
     "AsymptoticSpec", "ConfigError", "DataSet", "DegenerateSkewnessError",
     "DerivedParams", "DirectionEstimate", "Error", "ExperimentConfig",
     "MixtureParams", "MomentSet", "NearSingularError", "NonFiniteError",
-    "PopulationMoments",
-    "ReplicateResult", "SupervisionRequiredError", "SymmetryError", "TkSet",
+    "PopulationMoments", "SupervisionRequiredError", "SymmetryError",
     "WeightDivergenceError", "Whitening", "align_sign", "avar_ae", "avar_mom",
     "c0_constant", "c_lda", "c_skewvec", "chat_experiment", "derive",
     "est_jade3", "est_lda", "est_mom", "est_pp", "est_skewvec", "est_tobi",

@@ -284,16 +284,13 @@ def _write_table(path, columns, rows):
             writer.writerow(["" if row[c] is None else row[c] for c in columns])
 
 
-def _cmd_simulate_chat(args):
-    rows = chat_experiment(_load_config(args.config), workers=args.workers)
-    _write_table(args.out, CHAT_COLUMNS, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
-
-
-def _cmd_simulate_msi(args):
-    rows = msi_experiment(_load_config(args.config), workers=args.workers)
-    _write_table(args.out, MSI_COLUMNS, rows)
+def _cmd_simulate(args):
+    # The experiment is looked up by name on every call, so a wrapper bound
+    # to that name in this module sees the call.
+    chat = args.subcommand == "simulate-chat"
+    experiment = chat_experiment if chat else msi_experiment
+    rows = experiment(_load_config(args.config), workers=args.workers)
+    _write_table(args.out, CHAT_COLUMNS if chat else MSI_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -329,14 +326,12 @@ def _build_parser():
     con.add_argument("--h", help="component mean difference, comma-separated")
     con.set_defaults(func=_cmd_constants)
 
-    for name, func in (("simulate-chat", _cmd_simulate_chat),
-                       ("simulate-msi", _cmd_simulate_msi)):
+    for name in ("simulate-chat", "simulate-msi"):
         sim = sub.add_parser(name, help=f"run the {name.split('-')[1]} experiment")
         sim.add_argument("config", help="experiment config JSON")
         sim.add_argument("out", help="output CSV path")
-        sim.add_argument("--workers", type=int,
-                         help="thread count (default: $SKEWDISC_WORKERS or 1)")
-        sim.set_defaults(func=func)
+        sim.add_argument("--workers", type=int, default=1, help="thread count (default 1)")
+        sim.set_defaults(func=_cmd_simulate)
     return parser
 
 

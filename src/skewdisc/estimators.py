@@ -34,6 +34,7 @@ from . import moments as mom
 from .asymptotics import c0_constant, c_lda, c_skewvec
 from .errors import DegenerateSkewnessError, NonFiniteError, SupervisionRequiredError
 from .linalg import inv_sqrt, sym_eigen
+from .model import DataSet
 
 MOM = "MOM"
 SKEWVEC = "SKEWVEC"
@@ -47,6 +48,8 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 _MAX_RESTARTS = 5
 _UNDERFLOW = 1e-300
+# Below this norm, np.linalg.norm sums subnormal squares and loses digits.
+_TINY_NORM = 2.0 ** -511
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,8 @@ class Whitening:
     and covariance c2 (divisor n), whitener = c2^{-1/2}, whitened rows
     z_i = whitener @ (x_i - mean), c3 = (1/n) sum_i z_i ||z_i||^2, whether
     ||c3|| is below skewness_floor(p) (affine invariant, as the whitened
-    covariance trace is p), and the T_k slices of z, built on first use."""
+    covariance trace is p), and the T_k slices of z as one (p, p, p) array,
+    built on first use."""
 
     mean: np.ndarray
     c2: np.ndarray
@@ -82,7 +86,7 @@ class Whitening:
     whitened: np.ndarray
     c3: np.ndarray
     symmetric: bool
-    _tk: mom.TkSet = field(default=None, init=False, repr=False, compare=False)
+    _tk: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def skewness(self):
         """c3; raises DegenerateSkewnessError when the sample looks symmetric."""
@@ -103,10 +107,11 @@ class Whitening:
 def _estimate(raw, method, converged=True, iterations=0, notes=()):
     raw = np.asarray(raw, dtype=float)
     nrm = np.linalg.norm(raw)
-    if not math.isfinite(nrm):
-        raise NonFiniteError(f"{method} produced a non-finite direction; rescale the data")
     if nrm == 0.0:
         raise DegenerateSkewnessError(f"{method} produced a zero direction")
+    if not math.isfinite(nrm) or nrm < _TINY_NORM:
+        raise NonFiniteError(
+            f"{method} produced a direction outside double range; rescale the data")
     return DirectionEstimate(raw=raw, unit=raw / nrm, method=method,
                              converged=converged, iterations=iterations,
                              notes=tuple(notes))
@@ -168,6 +173,10 @@ def mom_direction(c2, c3, alpha1):
 def est_mom(data, alpha1):
     """Method-of-moments estimate; requires the true weight alpha1.
 
+    The moments are taken of the data scaled exactly by the power of two
+    2^-e that brings the largest centred magnitude into [0.5, 1), so c3 c3'
+    neither overflows nor underflows; theta is the direction found times 2^-e.
+
     Raises
     ------
     DegenerateSkewnessError
@@ -175,16 +184,16 @@ def est_mom(data, alpha1):
     numpy.linalg.LinAlgError
         If the inner matrix is singular.
     NonFiniteError
-        If the moments or the direction overflow.
+        If the covariance overflows or the direction leaves double range.
     """
-    ms = mom.sample_moments(data)
-    if not np.isfinite(ms.c3_hat).all():
-        raise NonFiniteError("sample third moment overflows; rescale the data")
+    x = data.observations
+    _, e = math.frexp(float(np.abs(x - x.mean(axis=0)).max()))
+    ms = mom.sample_moments(DataSet(np.ldexp(x, -e)))
     if np.linalg.norm(ms.c3_hat) < skewness_floor(float(np.trace(ms.c2_hat))):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
         )
-    return _estimate(mom_direction(ms.c2_hat, ms.c3_hat, alpha1), MOM)
+    return _estimate(np.ldexp(mom_direction(ms.c2_hat, ms.c3_hat, alpha1), -e), MOM)
 
 
 def skewvec_direction(whitener, c3_whitened):
@@ -206,7 +215,8 @@ def est_skewvec(data):
 
 
 def tobi_unit(tk):
-    """Leading unit eigenvector of sum_k T_k^2 in whitened coordinates.
+    """Leading unit eigenvector of sum_k T_k^2 in whitened coordinates;
+    tk is the (p, p, p) array of slices.
 
     Returns
     -------
@@ -273,16 +283,15 @@ def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
 
     Stops when 1 - |u_new' u_old| < tol (sign-invariant) or after
     max_iter accepted steps. An update whose norm underflows triggers a
-    restart from a fresh random unit vector, at most 5 times.
+    restart from a fresh random unit vector, at most 5 times. tk is the
+    (p, p, p) array of slices.
 
     Returns
     -------
     (u, converged, iterations, notes)
     """
-    t = tk.slices
-
     def step(u):
-        tu = t @ u          # row k is T_k u
+        tu = tk @ u         # row k is T_k u
         coef = tu @ u       # u' T_k u
         return coef @ tu, float(coef @ coef)
 

@@ -4,12 +4,13 @@ Everything here is a pure function built on numpy's symmetric
 eigensolver. The inverse square root deliberately goes through the full
 eigendecomposition (not Cholesky or a Newton iteration) so that the
 result is the unique symmetric positive definite root and so that the
-singularity floor is an explicit, testable quantity.
+singularity floor is an explicit, testable quantity. A matrix with a nan
+or inf entry raises NonFiniteError wherever symmetry is checked.
 """
 
 import numpy as np
 
-from .errors import NearSingularError, SymmetryError
+from .errors import NearSingularError, NonFiniteError, SymmetryError
 
 #: Relative symmetry tolerance used when validating inputs.
 SYMMETRY_RTOL = 1e-12
@@ -22,6 +23,9 @@ def _check_symmetric(m, rtol=SYMMETRY_RTOL):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    # Checked first: the comparison below is False for NaN.
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has non-finite entries")
     gap = np.linalg.norm(m - m.T)
     scale = max(np.linalg.norm(m), 1.0)
     if gap > rtol * scale:

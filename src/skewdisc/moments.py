@@ -22,28 +22,6 @@ class MomentSet:
     n: int
 
 
-@dataclass(frozen=True)
-class TkSet:
-    """Third-moment slices T_k of centered, whitened observations.
-
-    slices is one (p, p, p) array: slices[k] = (1/n) sum_i z_i z_i' (e_k' z_i),
-    each symmetric. A sequence of (p, p) slices is stacked on construction.
-    """
-
-    slices: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.slices, dtype=float)
-        gap = np.linalg.norm(s - s.transpose(0, 2, 1), axis=(1, 2))
-        if (gap > 1e-10 * np.maximum(np.linalg.norm(s, axis=(1, 2)), 1.0)).any():
-            raise ValueError("third-moment slices must be symmetric")
-        object.__setattr__(self, "slices", s)
-
-    @property
-    def p(self):
-        return len(self.slices)
-
-
 def sample_moments(data):
     """Mean, covariance (divisor n) and third-moment vector of a sample.
 
@@ -66,7 +44,9 @@ def sample_moments(data):
 
 
 def tk_slices(whitened):
-    """Third-moment slices of already centered and whitened data.
+    """Third-moment slices of already centered and whitened data, as one
+    (p, p, p) array: slice k is (1/n) sum_i z_i z_i' (e_k' z_i),
+    symmetrised so that each slice is symmetric to the last bit.
 
     One pass per coordinate; no (n, p, p) intermediate is stored.
     """
@@ -75,11 +55,11 @@ def tk_slices(whitened):
     t = np.empty((p, p, p))
     for k in range(p):
         t[k] = z.T @ (z * z[:, [k]]) / n
-    return TkSet(slices=(t + t.transpose(0, 2, 1)) / 2.0)
+    return (t + t.transpose(0, 2, 1)) / 2.0
 
 
 def tobi_matrix(tk):
-    """Sum of squared third-moment slices; symmetric positive
-    semidefinite by construction."""
-    t = sum(s @ s for s in tk.slices)
+    """Sum of squared third-moment slices, tk a (p, p, p) array of
+    symmetric slices; symmetric positive semidefinite by construction."""
+    t = sum(s @ s for s in tk)
     return (t + t.T) / 2.0

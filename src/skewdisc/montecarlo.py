@@ -16,17 +16,17 @@ msi_experiment
     similarity index per cell.
 
 Replicates are independent jobs with their own deterministic random
-stream; results reduce in replicate order, so tables are identical for
-any worker count. Replicates whose estimator fails or does not converge
-are excluded from the aggregates and counted in reps_failed.
+stream; workers (default 1) run them on that many threads. A replicate
+reduces each method to the pair (t' theta_hat / ||theta_hat||, MSI),
+and the pairs reduce in replicate order, so tables are identical for any
+worker count. Replicates whose estimator fails or does not converge are
+excluded from the aggregates and counted in reps_failed.
 """
 
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from .model import MixtureParams, sample
 SIGMA_IDENTITY = "identity"
 SIGMA_RANDOM_AAT = "random-aat"
 SIGMA_MODES = (SIGMA_IDENTITY, SIGMA_RANDOM_AAT)
-
-#: Environment variable consulted for the default worker count.
-WORKERS_ENV = "SKEWDISC_WORKERS"
 
 
 def _number(value, kind=(int, float)):
@@ -101,22 +98,6 @@ class ExperimentConfig:
         return tuple(itertools.product(self.alpha_grid, self.tau_grid, self.n_grid))
 
 
-@dataclass(frozen=True)
-class ReplicateResult:
-    """Outcome of one method on one replicate. t_projection and msi are
-    None when the estimator raised; converged=False marks the replicate
-    as excluded from aggregates."""
-
-    method: str
-    n: int
-    alpha1: float
-    tau: float
-    rep_index: int
-    t_projection: Optional[float]
-    msi: Optional[float]
-    converged: bool
-
-
 def rng_stream(master_seed, index):
     """Independent deterministic generator for one replicate. Streams
     for distinct indices never overlap; the same (seed, index) pair
@@ -158,19 +139,18 @@ def _mean_zero_params(alpha1, h, sigma):
     return MixtureParams(alpha1=alpha1, mu1=-alpha2 * h, mu2=alpha1 * h, sigma=sigma)
 
 
-def _evaluate(methods, data, theta, t, alpha1, tau, n, rep_index, rng):
+def _evaluate(methods, data, theta, t, alpha1, rng):
+    # One entry per method: (t' unit, msi) of the sign-aligned estimate, or
+    # None when the estimator raised or did not converge.
     out = []
     for method in methods:
         try:
             est = estimators.METHODS[method].run(data, alpha1, rng=rng)
         except (Error, ValueError, np.linalg.LinAlgError):
-            out.append(ReplicateResult(method, n, alpha1, tau, rep_index,
-                                       None, None, False))
+            out.append(None)
             continue
         est = estimators.align_sign(est, theta)
-        out.append(ReplicateResult(
-            method, n, alpha1, tau, rep_index,
-            float(t @ est.unit), msi(est.unit, theta), est.converged))
+        out.append((float(t @ est.unit), msi(est.unit, theta)) if est.converged else None)
     return out
 
 
@@ -180,8 +160,7 @@ def _chat_replicate(config, cell_index, alpha1, tau, n, rep_index):
     h[0] = math.sqrt(tau)
     data = sample(_mean_zero_params(alpha1, h, np.eye(config.p)), n, rng)
     # Sigma = I, so theta = h.
-    return _evaluate(config.methods, data, h, orth_unit(h),
-                     alpha1, tau, n, rep_index, rng)
+    return _evaluate(config.methods, data, h, orth_unit(h), alpha1, rng)
 
 
 def _msi_replicate(config, cell_index, alpha1, tau, n, rep_index):
@@ -201,18 +180,15 @@ def _msi_replicate(config, cell_index, alpha1, tau, n, rep_index):
     h = math.sqrt(tau) * (a @ direction)
     data = sample(_mean_zero_params(alpha1, h, sigma), n, rng)
     return _evaluate(config.methods, data, np.linalg.solve(sigma, h),
-                     orth_unit(h), alpha1, tau, n, rep_index, rng)
+                     orth_unit(h), alpha1, rng)
 
 
-def _worker_count(workers):
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if not workers >= 1:
+def _rows(config, replicate, workers, summary):
+    """Run every replicate of every cell and reduce them to one row per
+    (method, cell), sorted by (method, alpha1, tau, n). summary(method,
+    cell, used) gives the row's own columns from the usable pairs."""
+    if not (_number(workers, int) and workers >= 1):
         raise ConfigError(f"workers: must be at least 1, got {workers!r}")
-    return workers
-
-
-def _run_replicates(config, replicate, workers):
     jobs = [(ci, cell, m)
             for ci, cell in enumerate(config.cells)
             for m in range(config.reps)]
@@ -221,26 +197,26 @@ def _run_replicates(config, replicate, workers):
         ci, (alpha1, tau, n), m = job
         return replicate(config, ci, alpha1, tau, n, m)
 
-    count = _worker_count(workers)
-    if count == 1:
+    if workers == 1:
         batches = [run(job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run, jobs))
-    return [r for batch in batches for r in batch]
+    rows = []
+    # Jobs run in cell order, reps jobs per cell.
+    for ci, cell in enumerate(config.cells):
+        alpha1, tau, n = cell
+        cell_batches = batches[ci * config.reps:(ci + 1) * config.reps]
+        for j, method in enumerate(config.methods):
+            used = [batch[j] for batch in cell_batches if batch[j] is not None]
+            rows.append({"method": method, "alpha1": alpha1, "tau": tau, "n": n,
+                         "reps_used": len(used), "reps_failed": config.reps - len(used),
+                         **summary(method, cell, used)})
+    rows.sort(key=lambda r: (r["method"], r["alpha1"], r["tau"], r["n"]))
+    return rows
 
 
-def _grouped(config, results):
-    groups = {}
-    for (alpha1, tau, n) in config.cells:
-        for method in config.methods:
-            groups[(method, alpha1, tau, n)] = []
-    for r in results:
-        groups[(r.method, r.alpha1, r.tau, r.n)].append(r)
-    return groups
-
-
-def chat_experiment(config, workers=None):
+def chat_experiment(config, workers=1):
     """Run the constant-recovery experiment. Returns rows sorted by
     (method, alpha1, tau, n) with keys method, alpha1, tau, n,
     reps_used, reps_failed, c_hat, c_theory. c_hat needs at least two
@@ -249,42 +225,28 @@ def chat_experiment(config, workers=None):
     if config.sigma_mode != SIGMA_IDENTITY:
         raise ConfigError(
             "sigma_mode: the constant-recovery experiment requires 'identity'")
-    results = _run_replicates(config, _chat_replicate, workers)
-    rows = []
-    for (method, alpha1, tau, n), group in _grouped(config, results).items():
-        used = [r for r in group if r.converged]
+
+    def summary(method, cell, used):
+        alpha1, tau, n = cell
         c_hat = None
         if len(used) >= 2:
-            c_hat = float(n * np.var([r.t_projection for r in used], ddof=1))
+            c_hat = float(n * np.var([t_proj for t_proj, _ in used], ddof=1))
         constant = estimators.METHODS[method].constant
         try:
             c_theory = None if constant is None else constant(alpha1, tau, config.p)
         except WeightDivergenceError:
             c_theory = None
-        rows.append({
-            "method": method, "alpha1": alpha1, "tau": tau, "n": n,
-            "reps_used": len(used), "reps_failed": len(group) - len(used),
-            "c_hat": c_hat,
-            "c_theory": c_theory,
-        })
-    rows.sort(key=lambda r: (r["method"], r["alpha1"], r["tau"], r["n"]))
-    return rows
+        return {"c_hat": c_hat, "c_theory": c_theory}
+
+    return _rows(config, _chat_replicate, workers, summary)
 
 
-def msi_experiment(config, workers=None):
+def msi_experiment(config, workers=1):
     """Run the direction-recovery experiment. Returns rows sorted by
     (method, alpha1, tau, n) with keys method, alpha1, tau, n, p,
     reps_used, reps_failed, mean_msi."""
-    results = _run_replicates(config, _msi_replicate, workers)
-    rows = []
-    for (method, alpha1, tau, n), group in _grouped(config, results).items():
-        used = [r for r in group if r.converged]
-        mean = float(np.mean([r.msi for r in used])) if used else None
-        rows.append({
-            "method": method, "alpha1": alpha1, "tau": tau, "n": n,
-            "p": config.p,
-            "reps_used": len(used), "reps_failed": len(group) - len(used),
-            "mean_msi": mean,
-        })
-    rows.sort(key=lambda r: (r["method"], r["alpha1"], r["tau"], r["n"]))
-    return rows
+    def summary(method, cell, used):
+        mean = float(np.mean([m for _, m in used])) if used else None
+        return {"p": config.p, "mean_msi": mean}
+
+    return _rows(config, _msi_replicate, workers, summary)

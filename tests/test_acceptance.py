@@ -23,7 +23,6 @@ from skewdisc.model import (DataSet, MixtureParams, derive,
                             whitened_mixture)
 from skewdisc.montecarlo import (ExperimentConfig, chat_experiment,
                                  msi_experiment)
-from skewdisc.moments import TkSet
 
 from oracles import empirical_blocks
 
@@ -68,7 +67,7 @@ def test_criterion_1_population_fisher_consistency(capsys):
         pm = population_moments(params)
         law = whitened_mixture(params)
         c3w = population_moments(law).c3
-        tk = TkSet(slices=tuple(population_third_moment_slices(law)))
+        tk = np.array(population_third_moment_slices(law))
         root = inv_sqrt(np.asarray(pm.c2))
 
         got_mom = mom_direction(np.asarray(pm.c2), pm.c3, params.alpha1)

@@ -17,7 +17,6 @@ from skewdisc.model import (DataSet, MixtureParams, derive,
                             population_moments,
                             population_third_moment_slices, sample,
                             whitened_mixture)
-from skewdisc.moments import TkSet
 
 
 def reference_params():
@@ -67,7 +66,7 @@ class TestPopulationInjection:
     @pytest.mark.parametrize("params", [reference_params(), skewed_params()])
     def test_tobi_eigenvector_is_whitened_direction(self, params):
         law = whitened_mixture(params)
-        tk = TkSet(slices=tuple(population_third_moment_slices(law)))
+        tk = np.array(population_third_moment_slices(law))
         u, ambiguous = tobi_unit(tk)
         assert not ambiguous
         want = unit(derive(law).h)
@@ -78,7 +77,7 @@ class TestPopulationInjection:
         pm = population_moments(params)
         d = derive(params)
         law = whitened_mixture(params)
-        tk = TkSet(slices=tuple(population_third_moment_slices(law)))
+        tk = np.array(population_third_moment_slices(law))
         u, _ = tobi_unit(tk)
         raw = np.asarray(inv_sqrt(np.asarray(pm.c2))) @ u
         factor = (d.tau * (1.0 + d.beta * d.tau)) ** -0.5
@@ -88,7 +87,7 @@ class TestPopulationInjection:
 
     def test_jade3_fixed_point_at_solution(self):
         law = whitened_mixture(reference_params())
-        tk = TkSet(slices=tuple(population_third_moment_slices(law)))
+        tk = np.array(population_third_moment_slices(law))
         w = unit(derive(law).h)
         u, converged, iterations, notes = jade3_unit(tk, init=w)
         assert converged and iterations == 1 and notes == ()
@@ -96,7 +95,7 @@ class TestPopulationInjection:
 
     def test_jade3_from_perturbed_init(self):
         law = whitened_mixture(skewed_params())
-        tk = TkSet(slices=tuple(population_third_moment_slices(law)))
+        tk = np.array(population_third_moment_slices(law))
         w = unit(derive(law).h)
         rng = np.random.default_rng(30)
         init = unit(w + 0.3 * rng.standard_normal(3))
@@ -224,7 +223,7 @@ class TestWhiten:
         assert whiten(ds) is wh and ds.whitening is wh
         assert wh.tk is wh.tk
         # c3_k = (1/n) sum_i ||z_i||^2 z_ik is the trace of T_k
-        np.testing.assert_allclose(np.trace(wh.tk.slices, axis1=1, axis2=2),
+        np.testing.assert_allclose(np.trace(wh.tk, axis1=1, axis2=2),
                                    wh.c3, atol=1e-12)
         assert not wh.symmetric
 
@@ -263,15 +262,32 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("scale", [1e-150, 1e120, 1e160])
     def test_overflow_is_typed(self, scale):
         # finite data whose moments leave double range: NonFiniteError,
-        # never a NaN direction or a bare OverflowError
+        # never a NaN direction or a bare OverflowError. MOM takes its
+        # moments of the data rescaled by a power of two, so it answers
+        # wherever its direction, about 1/scale, can be normalised.
         ds = sample(reference_params(), 200, np.random.default_rng(46))
         huge = DataSet(ds.observations * scale, labels=ds.labels)
-        with pytest.raises(NonFiniteError):
-            est_mom(huge, 0.7)
-        if scale > 1e150:
+        if scale < 1e150:
+            np.testing.assert_allclose(est_mom(huge, 0.7).unit, est_mom(ds, 0.7).unit,
+                                       rtol=0.0, atol=1e-14)
+        else:
+            with pytest.raises(NonFiniteError):
+                est_mom(huge, 0.7)
             for fit in (est_skewvec, est_tobi, est_jade3, est_lda, est_pp):
                 with pytest.raises(NonFiniteError):
                     fit(DataSet(huge.observations, labels=huge.labels))
+
+    @pytest.mark.parametrize("k", range(-140, 141, 20))
+    def test_mom_answers_at_any_scale(self, k):
+        # the moments are taken of data rescaled by a power of two, so
+        # neither c3 c3' overflows nor the third moment underflows below
+        # the skewness floor
+        ds = sample(reference_params(), 300, np.random.default_rng(47))
+        want = est_mom(ds, 0.7)
+        with np.errstate(all="raise"):
+            got = est_mom(DataSet(ds.observations * 10.0 ** k), 0.7)
+        np.testing.assert_allclose(got.unit, want.unit, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(got.raw, want.raw * 10.0 ** -k, rtol=1e-13)
 
     def test_skewness_floor_finite_at_huge_trace(self):
         assert skewness_floor(1e210) == pytest.approx(1e305)
@@ -283,7 +299,7 @@ class TestDegenerateInputs:
                 est_mom(ds, bad)
 
     def test_tobi_tied_eigenvalue_flagged(self):
-        tk = TkSet(slices=(np.eye(2), np.zeros((2, 2))))
+        tk = np.array([np.eye(2), np.zeros((2, 2))])
         _, ambiguous = tobi_unit(tk)
         assert ambiguous
 
@@ -292,12 +308,12 @@ class TestDegenerateInputs:
         # climb sum_k (u' T_k u)^2, and a drop must show in the notes
         rng = np.random.default_rng(14)
         a = rng.standard_normal((2, 2, 2))
-        tk = TkSet(slices=(a + a.transpose(0, 2, 1)) / 2.0)
+        tk = (a + a.transpose(0, 2, 1)) / 2.0
         _, _, _, notes = jade3_unit(tk, init=rng.standard_normal(2), max_iter=50)
         assert "objective decreased" in notes
 
     def test_jade3_all_zero_slices_exhausts_restarts(self):
-        tk = TkSet(slices=(np.zeros((2, 2)), np.zeros((2, 2))))
+        tk = np.zeros((2, 2, 2))
         u, converged, iterations, notes = jade3_unit(
             tk, init=np.array([1.0, 0.0]), rng=np.random.default_rng(42))
         assert not converged

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewdisc.errors import NearSingularError, SymmetryError
+from skewdisc.errors import NearSingularError, NonFiniteError, SymmetryError
 from skewdisc.linalg import (SpdMatrix, commutation_matrix, inv_sqrt,
                              kron_sum_inverse, projector_pair, sym_eigen)
 
@@ -112,6 +112,19 @@ class TestInvSqrt:
         r = inv_sqrt(m)
         np.testing.assert_allclose(np.asarray(r), np.diag([0.5, 1.0 / 3.0]),
                                    atol=1e-14)
+
+
+@pytest.mark.parametrize("fn", [sym_eigen, inv_sqrt])
+@pytest.mark.parametrize("m", [
+    np.full((2, 2), np.nan),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+], ids=["all-nan", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal"])
+def test_non_finite_entries_rejected(fn, m):
+    # nan compares False with the symmetry tolerance, so it needs its own check
+    with pytest.raises(NonFiniteError):
+        fn(m)
 
 
 class TestProjectorPair:

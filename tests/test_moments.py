@@ -9,7 +9,7 @@ from skewdisc.model import (DataSet, MixtureParams, derive,
                             whitened_mixture)
 from skewdisc.errors import NonFiniteError
 from skewdisc.linalg import SpdMatrix
-from skewdisc.moments import TkSet, sample_moments, tk_slices, tobi_matrix
+from skewdisc.moments import sample_moments, tk_slices, tobi_matrix
 
 
 class TestSampleMoments:
@@ -102,15 +102,15 @@ class TestTkSlices:
         z -= z.mean(axis=0)
         tk = tk_slices(z)
         direct = np.einsum("ni,nj,nk->kij", z, z, z) / len(z)
-        assert tk.p == 4
+        assert tk.shape == (4, 4, 4)
         for k in range(4):
             want = (direct[k] + direct[k].T) / 2.0
-            np.testing.assert_allclose(tk.slices[k], want, atol=1e-12)
+            np.testing.assert_allclose(tk[k], want, atol=1e-12)
 
     def test_slices_symmetric(self):
         rng = np.random.default_rng(25)
         z = rng.standard_normal((100, 3))
-        for s in tk_slices(z).slices:
+        for s in tk_slices(z):
             np.testing.assert_array_equal(s, s.T)
 
     def test_population_limit(self):
@@ -124,19 +124,8 @@ class TestTkSlices:
         tk = tk_slices(z)
         want = population_third_moment_slices(law)
         assert want[0][0, 0] == pytest.approx(0.269242, abs=1e-6)
-        for got, ref in zip(tk.slices, want):
+        for got, ref in zip(tk, want):
             np.testing.assert_allclose(got, ref, atol=0.05)
-
-
-class TestTkSet:
-    def test_rejects_asymmetric_slice(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            TkSet(slices=(bad,))
-
-    def test_accepts_tiny_asymmetry(self):
-        almost = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
-        assert TkSet(slices=(almost,)).p == 1
 
 
 class TestTobiMatrix:
@@ -145,7 +134,7 @@ class TestTobiMatrix:
         z = rng.standard_normal((500, 3))
         z -= z.mean(axis=0)
         tk = tk_slices(z)
-        direct = sum(s @ s for s in tk.slices)
+        direct = sum(s @ s for s in tk)
         np.testing.assert_allclose(tobi_matrix(tk), direct, atol=1e-12)
 
     def test_positive_semidefinite_symmetric(self):
@@ -166,7 +155,7 @@ class TestTobiMatrix:
                                sigma=SpdMatrix(np.eye(3)))
         law = whitened_mixture(params)
         d = derive(law)
-        tk = TkSet(slices=tuple(population_third_moment_slices(law)))
+        tk = np.array(population_third_moment_slices(law))
         t = tobi_matrix(tk)
         nh2 = float(d.h @ d.h)
         want = (d.beta * d.gamma) ** 2 * nh2 ** 2 * np.outer(d.h, d.h)

@@ -1,6 +1,8 @@
 """Simulation harness: config validation, deterministic replication,
 aggregation and the two experiment protocols."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,10 +229,11 @@ class TestChatExperiment:
         from skewdisc.montecarlo import _chat_replicate
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
         for m in range(5):
-            for r in _chat_replicate(cfg, 0, 0.7, 8.0, 600, m):
-                assert r.t_projection is not None
-                assert abs(r.t_projection) <= 1.0
-                assert 0.0 <= r.msi <= 1.0
+            for pair in _chat_replicate(cfg, 0, 0.7, 8.0, 600, m):
+                assert pair is not None
+                t_projection, similarity = pair
+                assert abs(t_projection) <= 1.0
+                assert 0.0 <= similarity <= 1.0
 
     def test_jade3_and_tobi_share_a_constant(self):
         # both converge to the same limit, so their variance estimates
@@ -257,6 +260,31 @@ class TestChatExperiment:
         lone_rows = [r for r in chat_experiment(lone)]
         wide_rows = [r for r in chat_experiment(wide) if r["n"] == 400]
         assert lone_rows == wide_rows
+
+
+@pytest.mark.parametrize("experiment,summary", [(chat_experiment, "c_hat"),
+                                                (msi_experiment, "mean_msi")])
+def test_non_converged_replicates_counted_as_failed(monkeypatch, experiment, summary):
+    # the method table calls est_pp through the module global, so a
+    # stand-in put there sees every replicate
+    cfg = small_config(p=3, methods=("TOBI", "PP", "LDA"), reps=4)
+    want = experiment(cfg)
+    est_pp = estimators.est_pp
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(est_pp(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(estimators, "est_pp", stalled)
+    got = experiment(cfg)
+    assert [r["method"] for r in got] == [r["method"] for r in want]
+    for before, after in zip(want, got):
+        if after["method"] == "PP":
+            assert before["reps_used"] > 0
+            assert after["reps_used"] == 0
+            assert after["reps_failed"] == cfg.reps
+            assert after[summary] is None
+        else:
+            assert after == before
 
 
 class TestMsiExperiment:
@@ -336,7 +364,7 @@ class TestSharedWhitening:
         count_calls(monkeypatch, calls, moments, "tk_slices")
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
         results = _chat_replicate(cfg, 0, 0.7, 8.0, 600, 0)
-        assert all(r.converged for r in results)
+        assert all(pair is not None for pair in results)
         return calls
 
     def test_inv_sqrt_once_for_whitening_once_for_lda(self, monkeypatch):
@@ -353,14 +381,14 @@ class TestSharedWhitening:
         rng = rng_stream(cfg.master_seed, 1)
         h = np.array([np.sqrt(8.0), 0.0, 0.0])
         data = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600, rng)
-        assert [r.method for r in results] == list(estimators.METHODS)
-        for r in results:
-            fit = getattr(estimators, f"est_{r.method.lower()}")
-            if estimators.METHODS[r.method].needs_alpha1:
+        assert len(results) == len(estimators.METHODS)
+        for method, (t_projection, _) in zip(estimators.METHODS, results):
+            fit = getattr(estimators, f"est_{method.lower()}")
+            if estimators.METHODS[method].needs_alpha1:
                 est = fit(data, 0.7)
-            elif r.method in (estimators.JADE3, estimators.PP):
+            elif method in (estimators.JADE3, estimators.PP):
                 est = fit(data, rng=rng)
             else:
                 est = fit(data)
             want = float(orth_unit(h) @ align_sign(est, h).unit)
-            assert r.t_projection == want, r.method
+            assert t_projection == want, method
