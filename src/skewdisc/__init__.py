@@ -1,8 +1,7 @@
 """Unsupervised estimation of the optimal linear discriminant direction
 of a two-component Gaussian location mixture, using third moments."""
 
-from .asymptotics import (AsymptoticSpec, avar_ae, avar_mom, c0_constant,
-                          c_lda, c_skewvec)
+from .asymptotics import avar_ae, avar_mom, c0_constant, c_lda, c_skewvec
 from .errors import (ConfigError, DegenerateSkewnessError, Error,
                      NearSingularError, NonFiniteError,
                      SupervisionRequiredError, SymmetryError,
@@ -12,21 +11,21 @@ from .estimators import (DirectionEstimate, Whitening, align_sign, est_jade3,
                          whiten)
 from .model import (DataSet, DerivedParams, MixtureParams, PopulationMoments,
                     derive, population_moments, sample, whitened_population)
-from .moments import MomentSet, sample_moments, tk_slices, tobi_matrix
+from .moments import sample_moments, tk_slices, tobi_matrix
 from .montecarlo import (ExperimentConfig, chat_experiment, msi,
                          msi_experiment, orth_unit, rng_stream)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticSpec", "ConfigError", "DataSet", "DegenerateSkewnessError",
-    "DerivedParams", "DirectionEstimate", "Error", "ExperimentConfig",
-    "MixtureParams", "MomentSet", "NearSingularError", "NonFiniteError",
-    "PopulationMoments", "SupervisionRequiredError", "SymmetryError",
-    "WeightDivergenceError", "Whitening", "align_sign", "avar_ae", "avar_mom",
-    "c0_constant", "c_lda", "c_skewvec", "chat_experiment", "derive",
-    "est_jade3", "est_lda", "est_mom", "est_pp", "est_skewvec", "est_tobi",
-    "msi", "msi_experiment", "orth_unit", "population_moments", "rng_stream",
-    "sample", "sample_moments", "tk_slices", "tobi_matrix", "whiten",
+    "ConfigError", "DataSet", "DegenerateSkewnessError", "DerivedParams",
+    "DirectionEstimate", "Error", "ExperimentConfig", "MixtureParams",
+    "NearSingularError", "NonFiniteError", "PopulationMoments",
+    "SupervisionRequiredError", "SymmetryError", "WeightDivergenceError",
+    "Whitening", "align_sign", "avar_ae", "avar_mom", "c0_constant", "c_lda",
+    "c_skewvec", "chat_experiment", "derive", "est_jade3", "est_lda",
+    "est_mom", "est_pp", "est_skewvec", "est_tobi", "msi", "msi_experiment",
+    "orth_unit", "population_moments", "rng_stream", "sample",
+    "sample_moments", "tk_slices", "tobi_matrix", "whiten",
     "whitened_population",
 ]

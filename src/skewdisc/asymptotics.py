@@ -5,7 +5,8 @@ shared shape C * (tau / ||theta||^2) * Q_theta Sigma^{-1} Q_theta, with
 Q_theta the projector onto the orthogonal complement of theta; the
 estimators differ only through the scalar C. The method-of-moments
 estimator is not affine equivariant and carries its own two-term
-covariance.
+covariance. avar_ae and avar_mom return the covariance matrix of
+sqrt(n) * (normalized estimate - target) as a plain ndarray.
 
 Scalar constants
 ----------------
@@ -15,13 +16,11 @@ c_skewvec   : c0 plus a dimension-dependent penalty; always larger.
 c_lda       : the supervised baseline, a lower bound for all of them.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import WeightDivergenceError
 from .linalg import projector_pair
+from .model import derive
 
 #: Constants are refused closer to the boundary than this: 1 - 4*beta
 #: vanishes at alpha1 = 1/2 and tau-identifiability collapses at 1.
@@ -30,17 +29,6 @@ WEIGHT_MARGIN = 1e-6
 #: Separations outside [1 / TAU_LIMIT, TAU_LIMIT] are refused: beyond them
 #: tau^3 and (1 + beta*tau)^4 leave the range of a double.
 TAU_LIMIT = 1e77
-
-
-@dataclass(frozen=True)
-class AsymptoticSpec:
-    """A limiting covariance matrix for sqrt(n) * (normalized estimate
-    - target), together with the scalar constant that generated it when
-    the estimator is affine equivariant (constant_c is None for MOM)."""
-
-    covariance: np.ndarray
-    estimator: str
-    constant_c: Optional[float] = None
 
 
 def _check_weight(alpha1):
@@ -95,7 +83,7 @@ def c_lda(alpha1, tau):
     return (1.0 + bt) / bt
 
 
-def avar_ae(constant_c, params, estimator="AE"):
+def avar_ae(constant_c, params):
     """Limiting covariance of an affine equivariant estimator with
     scalar constant constant_c:
 
@@ -103,15 +91,12 @@ def avar_ae(constant_c, params, estimator="AE"):
     """
     if not constant_c > 0:
         raise ValueError(f"constant_c must be positive, got {constant_c}")
-    from .model import derive
-
     d = derive(params)
     _, q = projector_pair(d.theta)
-    sigma_inv = np.linalg.inv(np.asarray(params.sigma))
+    sigma_inv = np.linalg.inv(params.sigma)
     theta_sq = float(d.theta @ d.theta)
     cov = constant_c * (d.tau / theta_sq) * (q @ sigma_inv @ q)
-    return AsymptoticSpec(covariance=(cov + cov.T) / 2.0,
-                          estimator=estimator, constant_c=float(constant_c))
+    return (cov + cov.T) / 2.0
 
 
 def avar_mom(params):
@@ -125,11 +110,9 @@ def avar_mom(params):
     + beta (1 - 4 beta) ||h||^4. Not a multiple of Q Sigma^{-1} Q for
     generic Sigma.
     """
-    from .model import derive
-
     d = derive(params)
     _check_weight(params.alpha1)
-    sigma = np.asarray(params.sigma)
+    sigma = params.sigma
     h = d.h
     beta = d.beta
     theta_sq = float(d.theta @ d.theta)
@@ -144,4 +127,4 @@ def avar_mom(params):
     first = (w1 * w2 - d.tau * (1.0 + beta * d.tau) / theta_sq) * (q @ sigma_inv @ q)
     second = 4.0 * w1 * (q @ (sigma + beta * np.outer(h, h)) @ q)
     cov = first + second
-    return AsymptoticSpec(covariance=(cov + cov.T) / 2.0, estimator="MOM")
+    return (cov + cov.T) / 2.0

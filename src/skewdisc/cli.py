@@ -27,9 +27,8 @@ import numpy as np
 
 from . import estimators
 from .asymptotics import avar_ae, avar_mom, c0_constant, c_lda, c_skewvec
-from .errors import (ConfigError, DegenerateSkewnessError, Error,
-                     NearSingularError, NonFiniteError,
-                     SupervisionRequiredError, WeightDivergenceError)
+from .errors import (ConfigError, Error, SupervisionRequiredError,
+                     SymmetryError, WeightDivergenceError)
 from .model import DataSet, MixtureParams
 from .montecarlo import ExperimentConfig, chat_experiment, msi_experiment
 
@@ -235,21 +234,22 @@ def _cmd_constants(args):
     lda = c_lda(args.alpha1, tau)
     c0 = c0_constant(args.alpha1, tau)
     cr = c_skewvec(args.alpha1, tau, p)
+    # Everything is computed before anything is printed, so that a bad
+    # sigma (checked by MixtureParams) leaves stdout empty.
+    covariances = {}
+    if h is not None:
+        params = MixtureParams(alpha1=args.alpha1, mu1=-(1.0 - args.alpha1) * h,
+                               mu2=args.alpha1 * h, sigma=sigma)
+        covariances = {"TOBI/JADE3/PP": avar_ae(c0, params),
+                       "SKEWVEC": avar_ae(cr, params), "MOM": avar_mom(params)}
     print(f"alpha1 = {args.alpha1}, tau = {tau}, p = {p}")
     print(f"C[LDA]          = {lda}")
     print(f"C[TOBI/JADE3/PP] = {c0}")
     print(f"C[SKEWVEC]      = {cr}")
-    if h is not None:
-        alpha2 = 1.0 - args.alpha1
-        params = MixtureParams(alpha1=args.alpha1, mu1=-alpha2 * h,
-                               mu2=args.alpha1 * h, sigma=sigma)
-        with np.printoptions(precision=6, suppress=True):
-            print("limiting covariance, TOBI/JADE3/PP:")
-            print(np.array_str(avar_ae(c0, params, estimator="TOBI").covariance))
-            print("limiting covariance, SKEWVEC:")
-            print(np.array_str(avar_ae(cr, params, estimator="SKEWVEC").covariance))
-            print("limiting covariance, MOM:")
-            print(np.array_str(avar_mom(params).covariance))
+    with np.printoptions(precision=6, suppress=True):
+        for name, cov in covariances.items():
+            print(f"limiting covariance, {name}:")
+            print(np.array_str(cov))
     return 0
 
 
@@ -346,10 +346,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UsageError, ConfigError, SupervisionRequiredError,
-            WeightDivergenceError) as exc:
+            WeightDivergenceError, SymmetryError) as exc:
         return _fail(2, exc)
-    except (CsvFormatError, DegenerateSkewnessError, NearSingularError,
-            NonFiniteError, np.linalg.LinAlgError, OSError) as exc:
+    # Before ValueError: LinAlgError is one. Any other skewdisc error is a
+    # runtime failure.
+    except (Error, np.linalg.LinAlgError, OSError) as exc:
         return _fail(1, exc)
     except ValueError as exc:
         return _fail(2, exc)

@@ -34,7 +34,6 @@ from . import moments as mom
 from .asymptotics import c0_constant, c_lda, c_skewvec
 from .errors import DegenerateSkewnessError, NonFiniteError, SupervisionRequiredError
 from .linalg import inv_sqrt, sym_eigen
-from .model import DataSet
 
 MOM = "MOM"
 SKEWVEC = "SKEWVEC"
@@ -67,21 +66,19 @@ class DirectionEstimate:
     method: str
     converged: bool
     iterations: int
-    sign_reference_applied: bool = False
     notes: tuple = ()
 
 
 @dataclass(frozen=True)
 class Whitening:
-    """Centering, whitening and third moments of one dataset: sample mean
-    and covariance c2 (divisor n), whitener = c2^{-1/2}, whitened rows
-    z_i = whitener @ (x_i - mean), c3 = (1/n) sum_i z_i ||z_i||^2, whether
-    ||c3|| is below skewness_floor(p) (affine invariant, as the whitened
-    covariance trace is p), and the T_k slices of z as one (p, p, p) array,
-    built on first use."""
+    """Centering, whitening and third moments of one dataset: sample mean,
+    whitener = C2^{-1/2} of the sample covariance (divisor n), whitened
+    rows z_i = whitener @ (x_i - mean), c3 = (1/n) sum_i z_i ||z_i||^2,
+    whether ||c3|| is below skewness_floor(p) (affine invariant, as the
+    whitened covariance trace is p), and the T_k slices of z as one
+    (p, p, p) array, built on first use."""
 
     mean: np.ndarray
-    c2: np.ndarray
     whitener: np.ndarray
     whitened: np.ndarray
     c3: np.ndarray
@@ -139,12 +136,12 @@ def whiten(data):
         If the sample covariance overflows.
     """
     if data.whitening is None:
-        ms = mom.sample_moments(data)
-        whitener = inv_sqrt(ms.c2_hat)
-        z = (data.observations - ms.mean) @ whitener
+        mean, c2, _ = mom.sample_moments(data.observations)
+        whitener = inv_sqrt(c2)
+        z = (data.observations - mean) @ whitener
         c3 = z.T @ (z * z).sum(axis=1) / data.n
         object.__setattr__(data, "whitening", Whitening(
-            mean=ms.mean, c2=ms.c2_hat, whitener=whitener, whitened=z, c3=c3,
+            mean=mean, whitener=whitener, whitened=z, c3=c3,
             symmetric=bool(np.linalg.norm(c3) < skewness_floor(float(data.p)))))
     return data.whitening
 
@@ -188,12 +185,12 @@ def est_mom(data, alpha1):
     """
     x = data.observations
     _, e = math.frexp(float(np.abs(x - x.mean(axis=0)).max()))
-    ms = mom.sample_moments(DataSet(np.ldexp(x, -e)))
-    if np.linalg.norm(ms.c3_hat) < skewness_floor(float(np.trace(ms.c2_hat))):
+    _, c2, c3 = mom.sample_moments(np.ldexp(x, -e))
+    if np.linalg.norm(c3) < skewness_floor(float(np.trace(c2))):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
         )
-    return _estimate(np.ldexp(mom_direction(ms.c2_hat, ms.c3_hat, alpha1), -e), MOM)
+    return _estimate(np.ldexp(mom_direction(c2, c3, alpha1), -e), MOM)
 
 
 def skewvec_direction(whitener, c3_whitened):
@@ -372,17 +369,13 @@ def est_pp(data, init=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None
 def align_sign(est, reference):
     """Resolve the sign ambiguity of an estimate against a reference
     vector: flip when unit' reference < 0, leave the orthogonal case
-    untouched. Always marks sign_reference_applied."""
+    untouched."""
     reference = np.asarray(reference, dtype=float)
     if np.linalg.norm(reference) == 0.0:
         raise ValueError("sign reference must be nonzero")
-    flip = float(est.unit @ reference) < 0.0
-    return dataclasses.replace(
-        est,
-        raw=-est.raw if flip else est.raw,
-        unit=-est.unit if flip else est.unit,
-        sign_reference_applied=True,
-    )
+    if float(est.unit @ reference) < 0.0:
+        return dataclasses.replace(est, raw=-est.raw, unit=-est.unit)
+    return est
 
 
 #: One row of the method table. run(data, alpha1, tol=, max_iter=, rng=)

@@ -36,48 +36,6 @@ def _check_symmetric(m, rtol=SYMMETRY_RTOL):
     return m
 
 
-class SpdMatrix:
-    """Symmetric positive definite matrix, validated on construction.
-
-    Parameters
-    ----------
-    entries : array_like, shape (p, p)
-        Symmetric (within 1e-12 relative) matrix with strictly positive
-        eigenvalues.
-
-    Raises
-    ------
-    SymmetryError
-        If the input is not symmetric within tolerance.
-    ValueError
-        If any eigenvalue is nonpositive.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        m = np.array(_check_symmetric(entries), dtype=float)
-        vals = np.linalg.eigvalsh(m)
-        if vals[0] <= 0.0:
-            raise ValueError(
-                f"matrix is not positive definite: smallest eigenvalue {vals[0]:.3e}"
-            )
-        m.flags.writeable = False
-        self.entries = m
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries
-        return self.entries.astype(dtype)
-
-    def __repr__(self):
-        return f"SpdMatrix({self.entries!r})"
-
-
 def _fix_sign(vectors):
     # Sign convention: the first coordinate of largest absolute value is
     # made nonnegative, so repeated decompositions are bitwise stable.
@@ -92,7 +50,7 @@ def sym_eigen(m):
 
     Parameters
     ----------
-    m : array_like or SpdMatrix, shape (p, p)
+    m : array_like, shape (p, p)
         Symmetric matrix (within 1e-12 relative).
 
     Returns
@@ -102,7 +60,7 @@ def sym_eigen(m):
         eigenvector of values[i]. Eigenvectors are orthonormal and
         sign-fixed (largest-magnitude coordinate nonnegative).
     """
-    m = _check_symmetric(np.asarray(m, dtype=float))
+    m = _check_symmetric(m)
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1], _fix_sign(vecs)[:, ::-1]
 
@@ -112,7 +70,7 @@ def inv_sqrt(m, rel_floor=SINGULARITY_RTOL):
 
     Parameters
     ----------
-    m : array_like or SpdMatrix, shape (p, p)
+    m : array_like, shape (p, p)
     rel_floor : float
         Eigenvalues at or below ``rel_floor * max(eigenvalue)`` raise;
         regularizing silently would make every downstream whitening
@@ -129,7 +87,7 @@ def inv_sqrt(m, rel_floor=SINGULARITY_RTOL):
     NearSingularError
         If the smallest eigenvalue is at or below the floor.
     """
-    m = _check_symmetric(np.asarray(m, dtype=float))
+    m = _check_symmetric(m)
     vals, vecs = np.linalg.eigh(m)
     if vals[0] <= rel_floor * vals[-1] or vals[-1] <= 0.0:
         raise NearSingularError(

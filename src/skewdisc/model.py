@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SpdMatrix, commutation_matrix, inv_sqrt
+from .linalg import _check_symmetric, commutation_matrix, inv_sqrt
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,27 @@ class MixtureParams:
 
     alpha1 is the weight of component 1 and must lie in (0.5, 1); the
     perfectly symmetric case alpha1 = 0.5 is excluded because skewness
-    carries no direction information there.
+    carries no direction information there. sigma must be symmetric
+    (within 1e-12 relative, else SymmetryError) with strictly positive
+    eigenvalues (else ValueError); it is kept as a read-only copy.
     """
 
     alpha1: float
     mu1: np.ndarray
     mu2: np.ndarray
-    sigma: SpdMatrix
+    sigma: np.ndarray
 
     def __post_init__(self):
         if not 0.5 < self.alpha1 < 1.0:
             raise ValueError(f"alpha1 must be in (0.5, 1), got {self.alpha1}")
         mu1 = np.asarray(self.mu1, dtype=float)
         mu2 = np.asarray(self.mu2, dtype=float)
-        sigma = self.sigma if isinstance(self.sigma, SpdMatrix) else SpdMatrix(self.sigma)
+        sigma = np.array(_check_symmetric(self.sigma))
+        smallest = np.linalg.eigvalsh(sigma)[0]
+        if smallest <= 0.0:
+            raise ValueError(
+                f"matrix is not positive definite: smallest eigenvalue {smallest:.3e}")
+        sigma.flags.writeable = False
         if mu1.shape != mu2.shape or mu1.ndim != 1:
             raise ValueError("mu1 and mu2 must be vectors of equal length")
         if sigma.shape != (len(mu1), len(mu1)):
@@ -123,7 +130,7 @@ class PopulationMoments:
     equals x_i x_j, matching numpy.kron.
     """
 
-    c2: SpdMatrix
+    c2: np.ndarray
     c3: np.ndarray
     cov_x_xkronx: np.ndarray
     cov_xkronx: np.ndarray
@@ -134,15 +141,14 @@ class PopulationMoments:
 
 def derive(params):
     """Compute all derived population symbols from the raw parameters."""
-    sigma = np.asarray(params.sigma)
     h = params.mu2 - params.mu1
-    theta = np.linalg.solve(sigma, h)
+    theta = np.linalg.solve(params.sigma, h)
     tau = float(h @ theta)
     alpha2 = 1.0 - params.alpha1
     beta = params.alpha1 * alpha2
     gamma = params.alpha1 - alpha2
     delta = (1.0 + beta * tau) ** -0.5
-    m = np.asarray(inv_sqrt(sigma)) @ h
+    m = inv_sqrt(params.sigma) @ h
     w = m / np.linalg.norm(m)
     return DerivedParams(h=h, theta=theta, tau=tau, beta=beta, gamma=gamma,
                          delta=delta, w=w, m=m)
@@ -161,7 +167,7 @@ def sample(params, n, rng):
     p = params.p
     from_first = rng.random(n) < params.alpha1
     noise = rng.standard_normal((n, p))
-    chol = np.linalg.cholesky(np.asarray(params.sigma))
+    chol = np.linalg.cholesky(params.sigma)
     means = np.where(from_first[:, None], params.mu1, params.mu2)
     obs = means + noise @ chol.T
     labels = np.where(from_first, -1, 1)
@@ -180,7 +186,7 @@ def population_moments(params):
         and the four higher-order blocks; see the field docstrings.
     """
     d = derive(params)
-    sigma = np.asarray(params.sigma)
+    sigma = params.sigma
     h = d.h
     beta, gamma = d.beta, d.gamma
     p = params.p
@@ -238,7 +244,7 @@ def population_moments(params):
     )
 
     return PopulationMoments(
-        c2=SpdMatrix((c2 + c2.T) / 2.0),
+        c2=(c2 + c2.T) / 2.0,
         c3=c3,
         cov_x_xkronx=cov_x_xkronx,
         cov_xkronx=(cov_xkronx + cov_xkronx.T) / 2.0,
@@ -268,7 +274,7 @@ def whitened_population(params):
         alpha1=params.alpha1,
         mu1=-alpha2 * sep * d.w,
         mu2=params.alpha1 * sep * d.w,
-        sigma=SpdMatrix((comp_cov + comp_cov.T) / 2.0),
+        sigma=(comp_cov + comp_cov.T) / 2.0,
     )
 
 
@@ -282,16 +288,15 @@ def whitened_mixture(params):
     C2^{-1/2} Sigma C2^{-1/2}.
     """
     d = derive(params)
-    c2 = np.asarray(params.sigma) + d.beta * np.outer(d.h, d.h)
-    root = np.asarray(inv_sqrt(c2))
+    root = inv_sqrt(params.sigma + d.beta * np.outer(d.h, d.h))
     h_w = root @ d.h
-    sigma_w = root @ np.asarray(params.sigma) @ root
+    sigma_w = root @ params.sigma @ root
     alpha2 = 1.0 - params.alpha1
     return MixtureParams(
         alpha1=params.alpha1,
         mu1=-alpha2 * h_w,
         mu2=params.alpha1 * h_w,
-        sigma=SpdMatrix((sigma_w + sigma_w.T) / 2.0),
+        sigma=(sigma_w + sigma_w.T) / 2.0,
     )
 
 

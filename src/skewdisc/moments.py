@@ -1,37 +1,31 @@
 """Sample moment statistics: mean, second and third central moments and
-the third-moment slices of whitened data.
+the third-moment slices of whitened data, all as plain ndarrays.
 
 The second moment uses divisor n (not n - 1) throughout, matching the
 estimator definitions the asymptotic theory is stated for.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Sample mean, centered second moment and third-moment vector."""
+def sample_moments(x):
+    """Mean, covariance (divisor n) and third-moment vector of the rows
+    of an n x p array x.
 
-    mean: np.ndarray
-    c2_hat: np.ndarray
-    c3_hat: np.ndarray
-    n: int
+    Returns
+    -------
+    (mean, c2, c3) : (ndarray (p,), ndarray (p, p), ndarray (p,))
+        c2 is symmetric to the last bit and c3 = (1/n) sum_i
+        (x_i - mean)(x_i - mean)'(x_i - mean), the vector of row-wise
+        squared norms weighted against the centered rows.
 
-
-def sample_moments(data):
-    """Mean, covariance (divisor n) and third-moment vector of a sample.
-
-    c3_hat = (1/n) sum_i (x_i - mean)(x_i - mean)'(x_i - mean), the
-    vector of row-wise squared norms weighted against the centered rows.
-    A covariance that overflows raises NonFiniteError. c3_hat overflows
-    first, but whitening does not use it, so est_mom, which does, checks it.
+    A covariance that overflows raises NonFiniteError. c3 overflows
+    first, but whitening does not use it, and est_mom scales the data so
+    that it cannot.
     """
-    x = data.observations
-    n = data.n
+    n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations for sample moments")
     mean = x.mean(axis=0)
@@ -40,7 +34,7 @@ def sample_moments(data):
     if not np.isfinite(c2).all():
         raise NonFiniteError("sample covariance overflows; rescale the data")
     c3 = xc.T @ (xc * xc).sum(axis=1) / n
-    return MomentSet(mean=mean, c2_hat=(c2 + c2.T) / 2.0, c3_hat=c3, n=n)
+    return mean, (c2 + c2.T) / 2.0, c3
 
 
 def tk_slices(whitened):

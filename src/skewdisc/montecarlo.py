@@ -89,6 +89,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"methods: expected a nonempty subset of {tuple(estimators.METHODS)}, "
                 f"got {self.methods!r}")
+        # After the type checks, so every entry is hashable.
+        for name in ("alpha_grid", "tau_grid", "n_grid", "methods"):
+            value = getattr(self, name)
+            if len(set(value)) != len(value):
+                raise ConfigError(f"{name}: repeated entries in {value!r}")
         if self.sigma_mode not in SIGMA_MODES:
             raise ConfigError(
                 f"sigma_mode: expected one of {SIGMA_MODES}, got {self.sigma_mode!r}")

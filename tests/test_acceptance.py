@@ -251,9 +251,9 @@ def test_criterion_7_algebraic_identities(capsys):
         params = random_params(rng)
         d = derive(params)
         c0 = c0_constant(params.alpha1, d.tau)
-        for spec in (avar_ae(c0, params), avar_mom(params)):
-            resid = np.abs(spec.covariance @ d.theta).max()
-            scale = max(1.0, np.abs(spec.covariance).max()
+        for cov in (avar_ae(c0, params), avar_mom(params)):
+            resid = np.abs(cov @ d.theta).max()
+            scale = max(1.0, np.abs(cov).max()
                         * np.abs(d.theta).max())
             worst_theta = max(worst_theta, float(resid / scale))
     ok = worst_kron <= 1e-10 and worst_comm <= 1e-10 and worst_theta <= 1e-10

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from skewdisc.cli import CHAT_COLUMNS, MSI_COLUMNS, CsvFormatError, load_csv, main
-from skewdisc import estimators
-from skewdisc.linalg import SpdMatrix
+from skewdisc import cli, estimators
+from skewdisc.errors import Error
 from skewdisc.model import MixtureParams, sample
 from skewdisc.montecarlo import msi
 
@@ -19,7 +19,7 @@ def mixture_params(tau=8.0):
     return MixtureParams(alpha1=0.7,
                          mu1=np.array([-0.3 * h1, 0.0, 0.0]),
                          mu2=np.array([0.7 * h1, 0.0, 0.0]),
-                         sigma=SpdMatrix(np.eye(3)))
+                         sigma=np.eye(3))
 
 
 def write_dataset(path, data, with_labels=False):
@@ -405,6 +405,34 @@ class TestConstants:
         payload = stderr_payload(err)
         assert payload["error"] == "WeightDivergenceError"
         assert "0.5" in payload["message"]
+
+    @pytest.mark.parametrize("sigma,codes,error", [
+        ("1,0.5;0,1", {2}, "SymmetryError"),
+        ("1,0;0,-1", {2}, "ValueError"),
+        ("1,2;2,4", {1, 2}, None),
+        ("1,0;0,1e-300", {1}, "NearSingularError"),
+    ], ids=["asymmetric", "indefinite", "singular", "near-singular"])
+    def test_bad_sigma_prints_nothing(self, sigma, codes, error, capsys):
+        code, out, err = run_cli(
+            ["constants", "--alpha1", "0.7", "--sigma", sigma, "--h", "1,0"], capsys)
+        assert code in codes and out == ""
+        assert len(err.splitlines()) == 1
+        assert error in (None, json.loads(err)["error"])
+
+    def test_unlisted_error_exits_1(self, monkeypatch, capsys):
+        class Unlisted(Error):
+            pass
+
+        def raise_unlisted(args):
+            raise Unlisted("no handler names this class")
+
+        monkeypatch.setattr(cli, "_cmd_constants", raise_unlisted)
+        code, out, err = run_cli(
+            ["constants", "--alpha1", "0.7", "--tau", "4", "--p", "3"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "Unlisted",
+                                   "message": "no handler names this class"}
 
 
 def write_config(path, **overrides):

@@ -4,31 +4,8 @@ import numpy as np
 import pytest
 
 from skewdisc.errors import NearSingularError, NonFiniteError, SymmetryError
-from skewdisc.linalg import (SpdMatrix, commutation_matrix, inv_sqrt,
-                             kron_sum_inverse, projector_pair, sym_eigen)
-
-
-class TestSpdMatrix:
-    def test_accepts_spd(self):
-        m = SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        assert m.shape == (2, 2)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(SymmetryError):
-            SpdMatrix(np.array([[1.0, 0.2], [0.0, 1.0]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            SpdMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-    def test_rejects_singular(self):
-        with pytest.raises(ValueError):
-            SpdMatrix(np.outer([1.0, 2.0], [1.0, 2.0]))
-
-    def test_entries_read_only(self):
-        m = SpdMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            np.asarray(m)[0, 0] = 5.0
+from skewdisc.linalg import (commutation_matrix, inv_sqrt, kron_sum_inverse,
+                             projector_pair, sym_eigen)
 
 
 class TestSymEigen:
@@ -106,12 +83,6 @@ class TestInvSqrt:
         m = np.diag([1.0, 1e-13])
         with pytest.raises(NearSingularError):
             inv_sqrt(m)
-
-    def test_accepts_spdmatrix_input(self):
-        m = SpdMatrix(np.diag([4.0, 9.0]))
-        r = inv_sqrt(m)
-        np.testing.assert_allclose(np.asarray(r), np.diag([0.5, 1.0 / 3.0]),
-                                   atol=1e-14)
 
 
 @pytest.mark.parametrize("fn", [sym_eigen, inv_sqrt])

@@ -5,7 +5,8 @@ oracle."""
 import numpy as np
 import pytest
 
-from skewdisc.linalg import SpdMatrix, commutation_matrix
+from skewdisc.errors import SymmetryError
+from skewdisc.linalg import commutation_matrix
 from skewdisc.model import (DataSet, MixtureParams, derive,
                             population_moments,
                             population_third_moment_slices, sample,
@@ -22,7 +23,7 @@ def reference_params():
     return MixtureParams(alpha1=0.7,
                          mu1=np.array([-0.6, 0.0, 0.0]),
                          mu2=np.array([1.4, 0.0, 0.0]),
-                         sigma=SpdMatrix(np.eye(3)))
+                         sigma=np.eye(3))
 
 
 class TestMixtureParams:
@@ -34,25 +35,55 @@ class TestMixtureParams:
     def test_alpha_out_of_range(self, alpha1):
         with pytest.raises(ValueError):
             MixtureParams(alpha1=alpha1, mu1=np.zeros(2),
-                          mu2=np.ones(2), sigma=SpdMatrix(np.eye(2)))
+                          mu2=np.ones(2), sigma=np.eye(2))
 
     def test_equal_means_rejected(self):
         with pytest.raises(ValueError):
             MixtureParams(alpha1=0.7, mu1=np.ones(2), mu2=np.ones(2),
-                          sigma=SpdMatrix(np.eye(2)))
+                          sigma=np.eye(2))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(3),
-                          sigma=SpdMatrix(np.eye(3)))
+                          sigma=np.eye(3))
         with pytest.raises(ValueError):
             MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2),
-                          sigma=SpdMatrix(np.eye(3)))
+                          sigma=np.eye(3))
 
     def test_plain_array_sigma_coerced(self):
         params = MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2),
-                               sigma=np.eye(2))
-        assert isinstance(params.sigma, SpdMatrix)
+                               sigma=[[1, 0], [0, 1]])
+        assert isinstance(params.sigma, np.ndarray)
+        assert params.sigma.dtype == float
+
+    def test_accepts_spd(self):
+        sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+        params = MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2), sigma=sigma)
+        np.testing.assert_array_equal(params.sigma, sigma)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(SymmetryError):
+            MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2),
+                          sigma=np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(ValueError):
+            MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2),
+                          sigma=np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_rejects_singular(self):
+        with pytest.raises(ValueError):
+            MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2),
+                          sigma=np.outer([1.0, 2.0], [1.0, 2.0]))
+
+    def test_entries_read_only(self):
+        given = np.eye(2)
+        params = MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2), sigma=given)
+        with pytest.raises(ValueError):
+            params.sigma[0, 0] = 5.0
+        # The caller's array is copied, not frozen.
+        given[0, 0] = 5.0
+        assert params.sigma[0, 0] == 1.0
 
 
 class TestDerive:
@@ -76,7 +107,7 @@ class TestDerive:
             mu1 = rng.standard_normal(p)
             mu2 = rng.standard_normal(p)
             params = MixtureParams(alpha1=float(rng.uniform(0.55, 0.95)),
-                                   mu1=mu1, mu2=mu2, sigma=SpdMatrix(sigma))
+                                   mu1=mu1, mu2=mu2, sigma=sigma)
             d = derive(params)
             np.testing.assert_allclose(sigma @ d.theta, d.h, atol=1e-9)
             assert d.tau == pytest.approx(float(d.h @ d.theta), rel=1e-12)
@@ -148,7 +179,7 @@ class TestSample:
         sigma = a @ a.T
         params = MixtureParams(alpha1=0.8, mu1=np.zeros(2),
                                mu2=np.array([3.0, 0.0]),
-                               sigma=SpdMatrix(sigma))
+                               sigma=sigma)
         ds = sample(params, 40000, np.random.default_rng(12))
         first = ds.observations[ds.labels == -1]
         np.testing.assert_allclose(np.cov(first.T), sigma, atol=0.15)
@@ -161,14 +192,14 @@ class TestSample:
 class TestPopulationMoments:
     def test_reference_frozen_values(self):
         pm = population_moments(reference_params())
-        np.testing.assert_allclose(np.asarray(pm.c2), np.diag([1.84, 1.0, 1.0]),
+        np.testing.assert_allclose(pm.c2, np.diag([1.84, 1.0, 1.0]),
                                    atol=1e-12)
         np.testing.assert_allclose(pm.c3, [0.672, 0.0, 0.0], atol=1e-12)
         assert pm.cov_x_xkronx[0, 0] == pytest.approx(0.672, abs=1e-12)
 
     def test_shapes(self):
         pm = population_moments(reference_params())
-        assert np.asarray(pm.c2).shape == (3, 3)
+        assert pm.c2.shape == (3, 3)
         assert pm.c3.shape == (3,)
         assert pm.cov_x_xkronx.shape == (3, 9)
         assert pm.cov_xkronx.shape == (9, 9)
@@ -185,12 +216,12 @@ class TestPopulationMoments:
             params = MixtureParams(alpha1=float(rng.uniform(0.55, 0.95)),
                                    mu1=rng.standard_normal(p),
                                    mu2=rng.standard_normal(p),
-                                   sigma=SpdMatrix(sigma))
+                                   sigma=sigma)
             d = derive(params)
             pm = population_moments(params)
             scale = np.abs(sigma).max()
             np.testing.assert_allclose(
-                np.asarray(pm.c2), sigma + d.beta * np.outer(d.h, d.h),
+                pm.c2, sigma + d.beta * np.outer(d.h, d.h),
                 atol=1e-12 * scale)
             np.testing.assert_allclose(
                 pm.c3, d.beta * d.gamma * float(d.h @ d.h) * d.h,
@@ -200,8 +231,8 @@ class TestPopulationMoments:
         params = MixtureParams(alpha1=0.65,
                                mu1=np.array([0.3, -0.2]),
                                mu2=np.array([-0.9, 1.1]),
-                               sigma=SpdMatrix(np.array([[1.5, 0.4],
-                                                         [0.4, 0.8]])))
+                               sigma=np.array([[1.5, 0.4],
+                                               [0.4, 0.8]]))
         pm = population_moments(params)
         k = commutation_matrix(2)
         np.testing.assert_allclose(k @ pm.cov_xkronx, pm.cov_xkronx,
@@ -220,7 +251,7 @@ class TestPopulationMoments:
     def test_agrees_with_pair_partition_oracle(self, alpha1, mu1, mu2, sig):
         params = MixtureParams(alpha1=alpha1, mu1=np.array(mu1, float),
                                mu2=np.array(mu2, float),
-                               sigma=SpdMatrix(np.array(sig, float)))
+                               sigma=np.array(sig, float))
         pm = population_moments(params)
         oracle = MixtureMomentOracle(alpha1, mu1, mu2, np.array(sig, float))
         for name in BLOCKS:
@@ -250,7 +281,7 @@ class TestWhitenedLaws:
             params = MixtureParams(alpha1=float(rng.uniform(0.55, 0.95)),
                                    mu1=rng.standard_normal(p),
                                    mu2=rng.standard_normal(p),
-                                   sigma=SpdMatrix(a @ a.T + 0.3 * np.eye(p)))
+                                   sigma=a @ a.T + 0.3 * np.eye(p))
             c2 = np.asarray(population_moments(whitened_population(params)).c2)
             np.testing.assert_allclose(c2, np.eye(p), atol=1e-12)
             # the exact transformed law pays an inv_sqrt round-off toll
@@ -270,8 +301,8 @@ class TestWhitenedLaws:
                        MixtureParams(alpha1=0.8,
                                      mu1=np.array([1.0, -1.0]),
                                      mu2=np.array([-0.5, 0.8]),
-                                     sigma=SpdMatrix(np.array([[1.6, 0.5],
-                                                               [0.5, 0.9]])))):
+                                     sigma=np.array([[1.6, 0.5],
+                                                     [0.5, 0.9]]))):
             root = np.asarray(inv_sqrt(np.asarray(
                 population_moments(params).c2)))
             x = sample(params, n, rng).observations
@@ -283,8 +314,8 @@ class TestWhitenedLaws:
         params = MixtureParams(alpha1=0.75,
                                mu1=np.array([1.0, -2.0]),
                                mu2=np.array([0.0, 1.0]),
-                               sigma=SpdMatrix(np.array([[2.0, 0.6],
-                                                         [0.6, 1.4]])))
+                               sigma=np.array([[2.0, 0.6],
+                                               [0.6, 1.4]]))
         wm = whitened_mixture(params)
         d = derive(params)
         from skewdisc.linalg import inv_sqrt
@@ -311,7 +342,7 @@ class TestThirdMomentSlices:
         params = MixtureParams(alpha1=0.8,
                                mu1=np.array([0.5, -0.3, 0.1]),
                                mu2=np.array([-1.0, 0.6, 0.4]),
-                               sigma=SpdMatrix(np.eye(3) * 1.7))
+                               sigma=np.eye(3) * 1.7)
         slices = population_third_moment_slices(params)
         gathered = np.array([sum(s[k, j] for k, s in enumerate(slices))
                              for j in range(3)])

@@ -67,6 +67,11 @@ class TestExperimentConfig:
         ("methods", "TOBI", "methods:"),
         ("methods", (["TOBI"],), "methods:"),
         ("master_seed", True, "master_seed:"),
+        ("alpha_grid", (0.7, 0.7), "alpha_grid: repeated entries"),
+        ("tau_grid", (4.0, 8.0, 4.0), "tau_grid: repeated entries"),
+        ("n_grid", (100, 200, 100), "n_grid: repeated entries"),
+        ("methods", ("TOBI", "LDA", "TOBI"), "methods: repeated entries"),
+        ("methods", (["TOBI"], ["TOBI"]), "methods: expected"),
     ])
     def test_rejects_bad_field(self, field, value, fragment):
         with pytest.raises(ConfigError) as excinfo:
