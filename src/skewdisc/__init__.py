@@ -10,8 +10,8 @@ from .estimators import (DirectionEstimate, Whitening, align_sign, est_jade3,
                          est_lda, est_mom, est_pp, est_skewvec, est_tobi,
                          whiten)
 from .model import (DataSet, DerivedParams, MixtureParams, PopulationMoments,
-                    derive, population_moments, sample, whitened_population)
-from .moments import sample_moments, tk_slices, tobi_matrix
+                    derive, population_moments, sample)
+from .moments import sample_moments, third_moment, tk_slices, tobi_matrix
 from .montecarlo import (ExperimentConfig, chat_experiment, msi,
                          msi_experiment, orth_unit, rng_stream)
 
@@ -26,6 +26,5 @@ __all__ = [
     "c_skewvec", "chat_experiment", "derive", "est_jade3", "est_lda",
     "est_mom", "est_pp", "est_skewvec", "est_tobi", "msi", "msi_experiment",
     "orth_unit", "population_moments", "rng_stream", "sample",
-    "sample_moments", "tk_slices", "tobi_matrix", "whiten",
-    "whitened_population",
+    "sample_moments", "third_moment", "tk_slices", "tobi_matrix", "whiten",
 ]

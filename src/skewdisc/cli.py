@@ -26,10 +26,10 @@ import warnings
 import numpy as np
 
 from . import estimators
-from .asymptotics import avar_ae, avar_mom, c0_constant, c_lda, c_skewvec
+from .asymptotics import _check_weight, avar_ae, avar_mom, c0_constant, c_lda, c_skewvec
 from .errors import (ConfigError, Error, SupervisionRequiredError,
                      SymmetryError, WeightDivergenceError)
-from .model import DataSet, MixtureParams
+from .model import DataSet, MixtureParams, derive
 from .montecarlo import ExperimentConfig, chat_experiment, msi_experiment
 
 CHAT_COLUMNS = ("method", "alpha1", "tau", "n",
@@ -222,7 +222,11 @@ def _cmd_constants(args):
         if p is not None and p != h.shape[0]:
             raise UsageError("--p disagrees with the dimension of --h")
         p = h.shape[0]
-        implied_tau = float(h @ np.linalg.solve(sigma, h))
+        # A bad weight fails as without --sigma; mu2 - mu1 is h to the last bit.
+        _check_weight(args.alpha1)
+        params = MixtureParams(alpha1=args.alpha1, mu1=np.zeros_like(h), mu2=h,
+                               sigma=sigma)
+        implied_tau = derive(params).tau
         if tau is not None and abs(tau - implied_tau) > 1e-8 * max(implied_tau, 1.0):
             raise UsageError(
                 f"--tau {tau} disagrees with h'Sigma^(-1)h = {implied_tau}")
@@ -234,12 +238,10 @@ def _cmd_constants(args):
     lda = c_lda(args.alpha1, tau)
     c0 = c0_constant(args.alpha1, tau)
     cr = c_skewvec(args.alpha1, tau, p)
-    # Everything is computed before anything is printed, so that a bad
-    # sigma (checked by MixtureParams) leaves stdout empty.
+    # Everything is computed before anything is printed, so that a failure
+    # leaves stdout empty.
     covariances = {}
     if h is not None:
-        params = MixtureParams(alpha1=args.alpha1, mu1=-(1.0 - args.alpha1) * h,
-                               mu2=args.alpha1 * h, sigma=sigma)
         covariances = {"TOBI/JADE3/PP": avar_ae(c0, params),
                        "SKEWVEC": avar_ae(cr, params), "MOM": avar_mom(params)}
     print(f"alpha1 = {args.alpha1}, tau = {tau}, p = {p}")

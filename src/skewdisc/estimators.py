@@ -73,10 +73,10 @@ class DirectionEstimate:
 class Whitening:
     """Centering, whitening and third moments of one dataset: sample mean,
     whitener = C2^{-1/2} of the sample covariance (divisor n), whitened
-    rows z_i = whitener @ (x_i - mean), c3 = (1/n) sum_i z_i ||z_i||^2,
-    whether ||c3|| is below skewness_floor(p) (affine invariant, as the
-    whitened covariance trace is p), and the T_k slices of z as one
-    (p, p, p) array, built on first use."""
+    rows z_i = whitener @ (x_i - mean), c3 = third_moment(z) (only est_mom
+    takes the raw data's), whether ||c3|| is below skewness_floor(p)
+    (affine invariant, as the whitened covariance trace is p), and the T_k
+    slices of z as one (p, p, p) array, built on first use."""
 
     mean: np.ndarray
     whitener: np.ndarray
@@ -102,7 +102,6 @@ class Whitening:
 
 
 def _estimate(raw, method, converged=True, iterations=0, notes=()):
-    raw = np.asarray(raw, dtype=float)
     nrm = np.linalg.norm(raw)
     if nrm == 0.0:
         raise DegenerateSkewnessError(f"{method} produced a zero direction")
@@ -136,10 +135,10 @@ def whiten(data):
         If the sample covariance overflows.
     """
     if data.whitening is None:
-        mean, c2, _ = mom.sample_moments(data.observations)
+        mean, c2 = mom.sample_moments(data.observations)
         whitener = inv_sqrt(c2)
         z = (data.observations - mean) @ whitener
-        c3 = z.T @ (z * z).sum(axis=1) / data.n
+        c3 = mom.third_moment(z)
         object.__setattr__(data, "whitening", Whitening(
             mean=mean, whitener=whitener, whitened=z, c3=c3,
             symmetric=bool(np.linalg.norm(c3) < skewness_floor(float(data.p)))))
@@ -185,7 +184,9 @@ def est_mom(data, alpha1):
     """
     x = data.observations
     _, e = math.frexp(float(np.abs(x - x.mean(axis=0)).max()))
-    _, c2, c3 = mom.sample_moments(np.ldexp(x, -e))
+    x = np.ldexp(x, -e)
+    mean, c2 = mom.sample_moments(x)
+    c3 = mom.third_moment(x - mean)
     if np.linalg.norm(c3) < skewness_floor(float(np.trace(c2))):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
@@ -244,8 +245,7 @@ def _fixed_point(step, init, tol, max_iter, rng):
     # between iterates adds the note "objective decreased".
     if rng is None:
         rng = np.random.default_rng(0)
-    u = np.asarray(init, dtype=float)
-    u = u / np.linalg.norm(u)
+    u = init / np.linalg.norm(init)
     notes = []
     iterations = 0
     restarts = 0
@@ -295,15 +295,12 @@ def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     return _fixed_point(step, init, tol, max_iter, rng)
 
 
-def est_jade3(data, init=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
-    """3-JADE estimate. init defaults to the TOBI eigenvector, computed
-    from the same whitened slices; restarts draw from rng."""
+def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
+    """3-JADE estimate, started from the TOBI eigenvector of the same
+    whitened slices; restarts draw from rng."""
     wh = whiten(data)
-    notes = ()
-    if init is None:
-        init, ambiguous = tobi_unit(wh.tk)
-        if ambiguous:
-            notes = ("ambiguous leading eigenvalue in init",)
+    init, ambiguous = tobi_unit(wh.tk)
+    notes = ("ambiguous leading eigenvalue in init",) if ambiguous else ()
     u, converged, iterations, jade_notes = jade3_unit(
         wh.tk, init, tol=tol, max_iter=max_iter, rng=rng)
     return _estimate(wh.whitener @ u, JADE3, converged=converged,
@@ -344,12 +341,12 @@ def est_lda(data):
     return _estimate(root @ (root @ (mean_pos - mean_neg)), LDA)
 
 
-def est_pp(data, init=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
+def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     """Projection pursuit plug-in (experimental): fixed point
     u <- normalize(mean((u'z)^2 z)) on the whitened data, a stationary
-    point of the squared projection skewness. init defaults to the
-    whitened third-moment vector. Same loop and restart policy as JADE3;
-    may legitimately return converged=False.
+    point of the squared projection skewness, started from the whitened
+    third-moment vector. Same loop and restart policy as JADE3; may
+    legitimately return converged=False.
 
     Raises
     ------
@@ -360,8 +357,7 @@ def est_pp(data, init=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None
     c3 = wh.skewness()
     z = wh.whitened
     u, converged, iterations, notes = _fixed_point(
-        lambda u: (z.T @ ((z @ u) ** 2) / data.n, None),
-        c3 if init is None else init, tol, max_iter, rng)
+        lambda u: (z.T @ ((z @ u) ** 2) / data.n, None), c3, tol, max_iter, rng)
     return _estimate(wh.whitener @ u, PP, converged=converged,
                      iterations=iterations, notes=notes)
 

@@ -19,7 +19,7 @@ SYMMETRY_RTOL = 1e-12
 SINGULARITY_RTOL = 1e-12
 
 
-def _check_symmetric(m, rtol=SYMMETRY_RTOL):
+def _check_symmetric(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -28,10 +28,10 @@ def _check_symmetric(m, rtol=SYMMETRY_RTOL):
         raise NonFiniteError("matrix has non-finite entries")
     gap = np.linalg.norm(m - m.T)
     scale = max(np.linalg.norm(m), 1.0)
-    if gap > rtol * scale:
+    if gap > SYMMETRY_RTOL * scale:
         raise SymmetryError(
             f"matrix is not symmetric: asymmetry {gap:.3e} exceeds "
-            f"{rtol:.1e} relative"
+            f"{SYMMETRY_RTOL:.1e} relative"
         )
     return m
 
@@ -65,14 +65,13 @@ def sym_eigen(m):
     return vals[::-1], _fix_sign(vecs)[:, ::-1]
 
 
-def inv_sqrt(m, rel_floor=SINGULARITY_RTOL):
+def inv_sqrt(m):
     """Symmetric inverse square root of a positive definite matrix.
 
     Parameters
     ----------
     m : array_like, shape (p, p)
-    rel_floor : float
-        Eigenvalues at or below ``rel_floor * max(eigenvalue)`` raise;
+        Eigenvalues at or below SINGULARITY_RTOL * max(eigenvalue) raise;
         regularizing silently would make every downstream whitening
         meaningless.
 
@@ -89,10 +88,10 @@ def inv_sqrt(m, rel_floor=SINGULARITY_RTOL):
     """
     m = _check_symmetric(m)
     vals, vecs = np.linalg.eigh(m)
-    if vals[0] <= rel_floor * vals[-1] or vals[-1] <= 0.0:
+    if vals[0] <= SINGULARITY_RTOL * vals[-1] or vals[-1] <= 0.0:
         raise NearSingularError(
             f"covariance is numerically singular: eigenvalue range "
-            f"[{vals[0]:.3e}, {vals[-1]:.3e}], relative floor {rel_floor:.1e}"
+            f"[{vals[0]:.3e}, {vals[-1]:.3e}], relative floor {SINGULARITY_RTOL:.1e}"
         )
     root = (vecs / np.sqrt(vals)) @ vecs.T
     return (root + root.T) / 2.0

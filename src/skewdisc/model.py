@@ -25,9 +25,10 @@ class MixtureParams:
 
     alpha1 is the weight of component 1 and must lie in (0.5, 1); the
     perfectly symmetric case alpha1 = 0.5 is excluded because skewness
-    carries no direction information there. sigma must be symmetric
-    (within 1e-12 relative, else SymmetryError) with strictly positive
-    eigenvalues (else ValueError); it is kept as a read-only copy.
+    carries no direction information there. The means must be finite.
+    sigma must be symmetric (within 1e-12 relative, else SymmetryError)
+    with strictly positive eigenvalues (else ValueError); it is kept as a
+    read-only copy.
     """
 
     alpha1: float
@@ -48,6 +49,8 @@ class MixtureParams:
         sigma.flags.writeable = False
         if mu1.shape != mu2.shape or mu1.ndim != 1:
             raise ValueError("mu1 and mu2 must be vectors of equal length")
+        if not (np.isfinite(mu1).all() and np.isfinite(mu2).all()):
+            raise ValueError("mu1 and mu2 must be finite")
         if sigma.shape != (len(mu1), len(mu1)):
             raise ValueError("sigma shape does not match the mean vectors")
         if np.array_equal(mu1, mu2):
@@ -127,7 +130,8 @@ class PopulationMoments:
     centered mixture, plus the moments c2 and c3 themselves.
 
     Kronecker coordinates are laid out so that (x kron x)[i*p + j]
-    equals x_i x_j, matching numpy.kron.
+    equals x_i x_j, matching numpy.kron. cov_x_xkronx.reshape(p, p, p) is
+    the third moment tensor; for a whitened law its slices are the T_k.
     """
 
     c2: np.ndarray
@@ -227,17 +231,12 @@ def population_moments(params):
 
     # Two coefficients below are (1 - 3 beta), not gamma; the gathered
     # sixth moment has no odd dependence on the weight difference.
-    inner = (
-        tr_s * sigma + 2.0 * s2
-        + 2.0 * beta * (hh @ sigma) + beta * tr_s * hh + 2.0 * beta * (sigma @ hh)
-        + beta * (1.0 - 3.0 * beta) * nh2 * hh + beta * nh2 * sigma
-    )
     cov_xxtx = (
         4.0 * beta * tr_s * (sigma @ hh)
         + 8.0 * beta * (s2 @ hh)
         + 4.0 * beta * (1.0 - 3.0 * beta) * nh2 * (sigma @ hh)
         + (2.0 * float(np.trace(s2)) + tr_s ** 2) * (sigma + beta * hh)
-        + 4.0 * (inner @ sigma)
+        + 4.0 * (cov_x_xxtx @ sigma)
         + beta * (2.0 * tr_s * nh2 + 4.0 * float(h @ sigma @ h))
         * (sigma + (1.0 - 3.0 * beta) * hh)
         + beta * (1.0 - 3.0 * beta) * nh2 ** 2 * (sigma + (1.0 - 3.0 * beta) * hh)
@@ -254,33 +253,8 @@ def population_moments(params):
     )
 
 
-def whitened_population(params):
-    """The canonical law of the whitened mixture variable.
-
-    Whitening x by C2^{-1/2} after centering yields, up to an orthogonal
-    rotation, the mixture returned here: means -alpha2 * s * w and
-    alpha1 * s * w with s = sqrt(tau / (1 + beta tau)), and component
-    covariance I - (beta tau / (1 + beta tau)) w w'. Its total covariance
-    is the identity and the standardized distance between the component
-    means is still tau.
-    """
-    d = derive(params)
-    p = params.p
-    sep = np.sqrt(d.tau / (1.0 + d.beta * d.tau))
-    shrink = d.beta * d.tau / (1.0 + d.beta * d.tau)
-    comp_cov = np.eye(p) - shrink * np.outer(d.w, d.w)
-    alpha2 = 1.0 - params.alpha1
-    return MixtureParams(
-        alpha1=params.alpha1,
-        mu1=-alpha2 * sep * d.w,
-        mu2=params.alpha1 * sep * d.w,
-        sigma=(comp_cov + comp_cov.T) / 2.0,
-    )
-
-
 def whitened_mixture(params):
-    """The exact law of C2^{-1/2} (x - E x), without the orthogonal
-    rotation that ``whitened_population`` hides.
+    """The exact law of C2^{-1/2} (x - E x).
 
     Useful for injecting exact population moments into the estimators:
     the whitened variable is again a two-component location mixture,
@@ -298,15 +272,3 @@ def whitened_mixture(params):
         mu2=params.alpha1 * h_w,
         sigma=(sigma_w + sigma_w.T) / 2.0,
     )
-
-
-def population_third_moment_slices(params):
-    """Frontal slices of the third central moment tensor of the mixture.
-
-    The tensor is beta gamma (h kron h kron h), so slice k equals
-    beta gamma h_k h h'. For the whitened law these are the population
-    counterparts of the sample T_k matrices.
-    """
-    d = derive(params)
-    hh = np.outer(d.h, d.h)
-    return [d.beta * d.gamma * d.h[k] * hh for k in range(params.p)]

@@ -1,5 +1,5 @@
-"""Sample moment statistics: mean, second and third central moments and
-the third-moment slices of whitened data, all as plain ndarrays.
+"""Sample moment statistics: mean, covariance, the third-moment vector
+and the third-moment slices of whitened data, all as plain ndarrays.
 
 The second moment uses divisor n (not n - 1) throughout, matching the
 estimator definitions the asymptotic theory is stated for.
@@ -11,20 +11,19 @@ from .errors import NonFiniteError
 
 
 def sample_moments(x):
-    """Mean, covariance (divisor n) and third-moment vector of the rows
-    of an n x p array x.
+    """Mean and covariance (divisor n) of the rows of an n x p array x.
 
     Returns
     -------
-    (mean, c2, c3) : (ndarray (p,), ndarray (p, p), ndarray (p,))
-        c2 is symmetric to the last bit and c3 = (1/n) sum_i
-        (x_i - mean)(x_i - mean)'(x_i - mean), the vector of row-wise
-        squared norms weighted against the centered rows.
+    (mean, c2) : (ndarray (p,), ndarray (p, p))
+        c2 is symmetric to the last bit.
 
-    A covariance that overflows raises NonFiniteError. c3 overflows
-    first, but whitening does not use it, and est_mom scales the data so
-    that it cannot.
+    An x that is not two-dimensional or has fewer than 2 rows raises
+    ValueError; a covariance that overflows raises NonFiniteError.
     """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected an n x p array, got shape {x.shape}")
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations for sample moments")
@@ -33,8 +32,13 @@ def sample_moments(x):
     c2 = xc.T @ xc / n
     if not np.isfinite(c2).all():
         raise NonFiniteError("sample covariance overflows; rescale the data")
-    c3 = xc.T @ (xc * xc).sum(axis=1) / n
-    return mean, (c2 + c2.T) / 2.0, c3
+    return mean, (c2 + c2.T) / 2.0
+
+
+def third_moment(xc):
+    """Third-moment vector (1/n) sum_i x_i ||x_i||^2 of the rows x_i of an
+    already centered n x p array xc; it overflows before the covariance."""
+    return xc.T @ (xc * xc).sum(axis=1) / xc.shape[0]
 
 
 def tk_slices(whitened):

@@ -18,9 +18,7 @@ from skewdisc.estimators import (align_sign, est_jade3, est_mom, est_skewvec,
                                  skewvec_direction, tobi_unit)
 from skewdisc.linalg import commutation_matrix, inv_sqrt, kron_sum_inverse
 from skewdisc.model import (DataSet, MixtureParams, derive,
-                            population_moments,
-                            population_third_moment_slices, sample,
-                            whitened_mixture)
+                            population_moments, sample, whitened_mixture)
 from skewdisc.montecarlo import (ExperimentConfig, chat_experiment,
                                  msi_experiment)
 
@@ -66,8 +64,9 @@ def test_criterion_1_population_fisher_consistency(capsys):
         d = derive(params)
         pm = population_moments(params)
         law = whitened_mixture(params)
-        c3w = population_moments(law).c3
-        tk = np.array(population_third_moment_slices(law))
+        law_moments = population_moments(law)
+        c3w = law_moments.c3
+        tk = law_moments.cov_x_xkronx.reshape(params.p, params.p, params.p)
         root = inv_sqrt(np.asarray(pm.c2))
 
         got_mom = mom_direction(np.asarray(pm.c2), pm.c3, params.alpha1)

@@ -409,7 +409,7 @@ class TestConstants:
     @pytest.mark.parametrize("sigma,codes,error", [
         ("1,0.5;0,1", {2}, "SymmetryError"),
         ("1,0;0,-1", {2}, "ValueError"),
-        ("1,2;2,4", {1, 2}, None),
+        ("1,2;2,4", {2}, "ValueError"),
         ("1,0;0,1e-300", {1}, "NearSingularError"),
     ], ids=["asymmetric", "indefinite", "singular", "near-singular"])
     def test_bad_sigma_prints_nothing(self, sigma, codes, error, capsys):
@@ -418,6 +418,21 @@ class TestConstants:
         assert code in codes and out == ""
         assert len(err.splitlines()) == 1
         assert error in (None, json.loads(err)["error"])
+
+    def test_symmetric_weight_refused_with_sigma(self, capsys):
+        code, out, err = run_cli(
+            ["constants", "--alpha1", "0.5", "--sigma", "1,0;0,1", "--h", "2,0"],
+            capsys)
+        assert code == 2 and out == ""
+        assert stderr_payload(err)["error"] == "WeightDivergenceError"
+
+    def test_non_finite_h_refused(self, capsys):
+        code, out, err = run_cli(
+            ["constants", "--alpha1", "0.7", "--sigma", "1,0;0,1", "--h", "inf,0"],
+            capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ValueError"
 
     def test_unlisted_error_exits_1(self, monkeypatch, capsys):
         class Unlisted(Error):

@@ -13,10 +13,9 @@ from skewdisc.estimators import (DEFAULT_MAX_ITER, JADE3, LDA, METHODS, MOM,
                                  skewness_floor, skewvec_direction, tobi_unit,
                                  whiten)
 from skewdisc.linalg import inv_sqrt
+from skewdisc.moments import third_moment
 from skewdisc.model import (DataSet, MixtureParams, derive,
-                            population_moments,
-                            population_third_moment_slices, sample,
-                            whitened_mixture)
+                            population_moments, sample, whitened_mixture)
 
 
 def reference_params():
@@ -34,6 +33,11 @@ def skewed_params():
                          mu1=np.array([0.2, -0.5, 1.0]),
                          mu2=np.array([3.4, 1.9, -0.2]),
                          sigma=sigma)
+
+
+def population_tk(law):
+    """The population T_k slices of a whitened law, as one (p, p, p) array."""
+    return population_moments(law).cov_x_xkronx.reshape(law.p, law.p, law.p)
 
 
 def unit(v):
@@ -66,7 +70,7 @@ class TestPopulationInjection:
     @pytest.mark.parametrize("params", [reference_params(), skewed_params()])
     def test_tobi_eigenvector_is_whitened_direction(self, params):
         law = whitened_mixture(params)
-        tk = np.array(population_third_moment_slices(law))
+        tk = population_tk(law)
         u, ambiguous = tobi_unit(tk)
         assert not ambiguous
         want = unit(derive(law).h)
@@ -77,7 +81,7 @@ class TestPopulationInjection:
         pm = population_moments(params)
         d = derive(params)
         law = whitened_mixture(params)
-        tk = np.array(population_third_moment_slices(law))
+        tk = population_tk(law)
         u, _ = tobi_unit(tk)
         raw = np.asarray(inv_sqrt(np.asarray(pm.c2))) @ u
         factor = (d.tau * (1.0 + d.beta * d.tau)) ** -0.5
@@ -87,7 +91,7 @@ class TestPopulationInjection:
 
     def test_jade3_fixed_point_at_solution(self):
         law = whitened_mixture(reference_params())
-        tk = np.array(population_third_moment_slices(law))
+        tk = population_tk(law)
         w = unit(derive(law).h)
         u, converged, iterations, notes = jade3_unit(tk, init=w)
         assert converged and iterations == 1 and notes == ()
@@ -95,7 +99,7 @@ class TestPopulationInjection:
 
     def test_jade3_from_perturbed_init(self):
         law = whitened_mixture(skewed_params())
-        tk = np.array(population_third_moment_slices(law))
+        tk = population_tk(law)
         w = unit(derive(law).h)
         rng = np.random.default_rng(30)
         init = unit(w + 0.3 * rng.standard_normal(3))
@@ -225,6 +229,10 @@ class TestWhiten:
         np.testing.assert_allclose(np.trace(wh.tk, axis1=1, axis2=2),
                                    wh.c3, atol=1e-12)
         assert not wh.symmetric
+
+    def test_c3_is_third_moment_of_whitened_rows(self):
+        wh = whiten(sample(skewed_params(), 500, np.random.default_rng(41)))
+        np.testing.assert_array_equal(wh.c3, third_moment(wh.whitened))
 
     def test_singular_covariance_raises(self):
         x = np.zeros((10, 2))

@@ -1,14 +1,20 @@
 """Sample moment statistics and third-moment slices."""
 
+import re
+
 import numpy as np
 import pytest
 
 from skewdisc.model import (DataSet, MixtureParams, derive,
-                            population_moments,
-                            population_third_moment_slices, sample,
-                            whitened_mixture)
+                            population_moments, sample, whitened_mixture)
 from skewdisc.errors import NonFiniteError
-from skewdisc.moments import sample_moments, tk_slices, tobi_matrix
+from skewdisc.moments import (sample_moments, third_moment, tk_slices,
+                              tobi_matrix)
+
+
+def population_tk(law):
+    """The population T_k slices of a whitened law, as one (p, p, p) array."""
+    return population_moments(law).cov_x_xkronx.reshape(law.p, law.p, law.p)
 
 
 class TestSampleMoments:
@@ -16,7 +22,8 @@ class TestSampleMoments:
         ds = DataSet(observations=np.array([[0.0, 0.0],
                                             [1.0, 0.0],
                                             [2.0, 3.0]]))
-        mean, c2, c3 = sample_moments(ds.observations)
+        mean, c2 = sample_moments(ds.observations)
+        c3 = third_moment(ds.observations - mean)
         np.testing.assert_allclose(mean, [1.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(c2,
                                    [[2.0 / 3.0, 1.0], [1.0, 2.0]], atol=1e-15)
@@ -25,14 +32,15 @@ class TestSampleMoments:
     def test_divisor_is_n(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((37, 4))
-        _, c2, _ = sample_moments(x)
+        _, c2 = sample_moments(x)
         np.testing.assert_allclose(c2, np.cov(x.T, bias=True),
                                    atol=1e-12)
 
     def test_c3_matches_tensor_contraction(self):
         rng = np.random.default_rng(21)
         x = rng.standard_normal((200, 3)) + rng.standard_normal(3)
-        _, _, c3 = sample_moments(x)
+        mean, _ = sample_moments(x)
+        c3 = third_moment(x - mean)
         xc = x - x.mean(axis=0)
         direct = np.einsum("ni,nj,nj->i", xc, xc, xc) / len(x)
         np.testing.assert_allclose(c3, direct, atol=1e-12)
@@ -43,7 +51,8 @@ class TestSampleMoments:
                                mu2=np.array([1.4, 0.0, 0.0]),
                                sigma=np.eye(3))
         ds = sample(params, 200000, np.random.default_rng(22))
-        mean, c2, c3 = sample_moments(ds.observations)
+        mean, c2 = sample_moments(ds.observations)
+        c3 = third_moment(ds.observations - mean)
         pm = population_moments(params)
         np.testing.assert_allclose(mean, np.zeros(3), atol=0.02)
         np.testing.assert_allclose(c2, pm.c2, atol=0.03)
@@ -53,8 +62,10 @@ class TestSampleMoments:
         rng = np.random.default_rng(29)
         x = rng.standard_normal((300, 4))
         shift = rng.standard_normal(4) * 50.0
-        _, base_c2, base_c3 = sample_moments(x)
-        _, moved_c2, moved_c3 = sample_moments(x + shift)
+        base_mean, base_c2 = sample_moments(x)
+        base_c3 = third_moment(x - base_mean)
+        moved_mean, moved_c2 = sample_moments(x + shift)
+        moved_c3 = third_moment(x + shift - moved_mean)
         np.testing.assert_allclose(moved_c2, base_c2, atol=1e-10)
         np.testing.assert_allclose(moved_c3, base_c3, atol=1e-10)
 
@@ -70,7 +81,9 @@ class TestSampleMoments:
         errors = {10000: [], 40000: []}
         for _ in range(20):
             for n in errors:
-                _, _, c3 = sample_moments(sample(params, n, rng).observations)
+                x = sample(params, n, rng).observations
+                mean, _ = sample_moments(x)
+                c3 = third_moment(x - mean)
                 errors[n].append(np.linalg.norm(c3 - c3_true))
         med_small = float(np.median(errors[10000]))
         med_large = float(np.median(errors[40000]))
@@ -86,10 +99,23 @@ class TestSampleMoments:
         with pytest.raises(ValueError):
             sample_moments(np.zeros((1, 2)))
 
+    def test_nested_list_accepted(self):
+        rows = [[0, 1], [1, 2], [3, 1]]
+        got = sample_moments(rows)
+        want = sample_moments(np.array(rows, dtype=float))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("x", [np.arange(4.0), np.zeros((3, 2, 2))],
+                             ids=["1-d", "3-d"])
+    def test_non_matrix_rejected(self, x):
+        with pytest.raises(ValueError, match=re.escape(f"shape {x.shape}")):
+            sample_moments(x)
+
     def test_symmetric_output(self):
         rng = np.random.default_rng(23)
         x = rng.standard_normal((50, 5))
-        _, c2, _ = sample_moments(x)
+        _, c2 = sample_moments(x)
         np.testing.assert_array_equal(c2, c2.T)
 
 
@@ -120,7 +146,7 @@ class TestTkSlices:
         ds = sample(law, 200000, np.random.default_rng(26))
         z = ds.observations - ds.observations.mean(axis=0)
         tk = tk_slices(z)
-        want = population_third_moment_slices(law)
+        want = population_tk(law)
         assert want[0][0, 0] == pytest.approx(0.269242, abs=1e-6)
         for got, ref in zip(tk, want):
             np.testing.assert_allclose(got, ref, atol=0.05)
@@ -153,7 +179,7 @@ class TestTobiMatrix:
                                sigma=np.eye(3))
         law = whitened_mixture(params)
         d = derive(law)
-        tk = np.array(population_third_moment_slices(law))
+        tk = population_tk(law)
         t = tobi_matrix(tk)
         nh2 = float(d.h @ d.h)
         want = (d.beta * d.gamma) ** 2 * nh2 ** 2 * np.outer(d.h, d.h)
