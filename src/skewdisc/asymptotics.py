@@ -125,6 +125,6 @@ def avar_mom(params):
     _, q = projector_pair(d.theta)
     sigma_inv = np.linalg.inv(sigma)
     first = (w1 * w2 - d.tau * (1.0 + beta * d.tau) / theta_sq) * (q @ sigma_inv @ q)
-    second = 4.0 * w1 * (q @ (sigma + beta * np.outer(h, h)) @ q)
+    second = 4.0 * w1 * (q @ d.c2 @ q)
     cov = first + second
     return (cov + cov.T) / 2.0

@@ -19,8 +19,10 @@ reference vector.
 SKEWVEC, TOBI, JADE3 and PP share one pipeline: whiten(data) centres,
 whitens and takes third moments once per dataset and keeps the Whitening
 record on the DataSet for every later method; MOM and LDA use the raw
-data. JADE3 and PP share one fixed-point loop. METHODS, the one method
-table, is what the command line and the simulations dispatch through.
+data. JADE3 and PP share one fixed-point loop on the cached tensor T
+(Whitening.tk): PP's step mean((u'z)^2 z) = T(., u, u) is the coefficient
+vector of JADE3's. METHODS, the one method table, is what the command
+line and the simulations dispatch through.
 """
 
 import dataclasses
@@ -169,8 +171,8 @@ def mom_direction(c2, c3, alpha1):
 def est_mom(data, alpha1):
     """Method-of-moments estimate; requires the true weight alpha1.
 
-    The moments are taken of the data scaled exactly by the power of two
-    2^-e that brings the largest centred magnitude into [0.5, 1), so c3 c3'
+    The moments are taken of the centred data scaled exactly by the power
+    of two 2^-e that brings their largest magnitude into [0.5, 1), so c3 c3'
     neither overflows nor underflows; theta is the direction found times 2^-e.
 
     Raises
@@ -183,10 +185,11 @@ def est_mom(data, alpha1):
         If the covariance overflows or the direction leaves double range.
     """
     x = data.observations
-    _, e = math.frexp(float(np.abs(x - x.mean(axis=0)).max()))
-    x = np.ldexp(x, -e)
-    mean, c2 = mom.sample_moments(x)
-    c3 = mom.third_moment(x - mean)
+    xc = x - x.mean(axis=0)
+    _, e = math.frexp(float(np.abs(xc).max()))
+    xc = np.ldexp(xc, -e)
+    c2 = mom.second_moment(xc)
+    c3 = mom.third_moment(xc)
     if np.linalg.norm(c3) < skewness_floor(float(np.trace(c2))):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
@@ -239,24 +242,29 @@ def est_tobi(data):
     return _estimate(wh.whitener @ u, TOBI, notes=notes)
 
 
-def _fixed_point(step, init, tol, max_iter, rng):
-    # Iterates u <- step(u) / ||step(u)||. step(u) returns the update and
-    # the objective at u (None: nothing to watch); an objective that drops
+def _fixed_point(tk, step, init, tol, max_iter, rng):
+    # Iterates u <- update / ||update|| on the tensor T = tk, where
+    # (update, objective) = step(tu, coef) with tu[k] = T_k u and coef[k] =
+    # u' T_k u = T(e_k, u, u), both from one matrix-vector product with the
+    # (p*p, p) view of T. An objective (None: nothing to watch) that drops
     # between iterates adds the note "objective decreased".
     if rng is None:
         rng = np.random.default_rng(0)
+    p = len(init)
+    rows = tk.reshape(p * p, p)
     u = init / np.linalg.norm(init)
     notes = []
     iterations = 0
     restarts = 0
     prev_obj = None
     while iterations < max_iter:
-        update, obj = step(u)
+        tu = (rows @ u).reshape(p, p)
+        update, obj = step(tu, tu @ u)
         if prev_obj is not None and obj < prev_obj - 1e-12 * max(1.0, prev_obj):
             notes.append("objective decreased")
         prev_obj = obj
-        nrm = np.linalg.norm(update)
-        if not np.isfinite(nrm) or nrm < _UNDERFLOW:
+        nrm = math.sqrt(update @ update)
+        if not math.isfinite(nrm) or nrm < _UNDERFLOW:
             if restarts >= _MAX_RESTARTS:
                 notes.append("restarts exhausted")
                 break
@@ -267,7 +275,7 @@ def _fixed_point(step, init, tol, max_iter, rng):
             continue
         new_u = update / nrm
         iterations += 1
-        crit = 1.0 - abs(float(new_u @ u))
+        crit = 1.0 - abs(new_u @ u)
         u = new_u
         if crit < tol:
             return u, True, iterations, tuple(notes)
@@ -287,12 +295,8 @@ def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     -------
     (u, converged, iterations, notes)
     """
-    def step(u):
-        tu = tk @ u         # row k is T_k u
-        coef = tu @ u       # u' T_k u
-        return coef @ tu, float(coef @ coef)
-
-    return _fixed_point(step, init, tol, max_iter, rng)
+    return _fixed_point(tk, lambda tu, coef: (coef @ tu, coef @ coef), init,
+                        tol, max_iter, rng)
 
 
 def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
@@ -345,7 +349,8 @@ def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     """Projection pursuit plug-in (experimental): fixed point
     u <- normalize(mean((u'z)^2 z)) on the whitened data, a stationary
     point of the squared projection skewness, started from the whitened
-    third-moment vector. Same loop and restart policy as JADE3; may
+    third-moment vector, stepping on T(., u, u) of the cached tensor
+    whiten(data).tk. Same loop and restart policy as JADE3; may
     legitimately return converged=False.
 
     Raises
@@ -355,9 +360,8 @@ def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     """
     wh = whiten(data)
     c3 = wh.skewness()
-    z = wh.whitened
     u, converged, iterations, notes = _fixed_point(
-        lambda u: (z.T @ ((z @ u) ** 2) / data.n, None), c3, tol, max_iter, rng)
+        wh.tk, lambda tu, coef: (coef, None), c3, tol, max_iter, rng)
     return _estimate(wh.whitener @ u, PP, converged=converged,
                      iterations=iterations, notes=notes)
 

@@ -74,6 +74,7 @@ class DerivedParams:
     beta   alpha1 * alpha2
     gamma  alpha1 - alpha2
     delta  (1 + beta tau)^{-1/2}
+    c2     Sigma + beta h h', the covariance of x
     m      Sigma^{-1/2} h
     w      m / ||m||
     """
@@ -84,6 +85,7 @@ class DerivedParams:
     beta: float
     gamma: float
     delta: float
+    c2: np.ndarray
     w: np.ndarray
     m: np.ndarray
 
@@ -155,7 +157,8 @@ def derive(params):
     m = inv_sqrt(params.sigma) @ h
     w = m / np.linalg.norm(m)
     return DerivedParams(h=h, theta=theta, tau=tau, beta=beta, gamma=gamma,
-                         delta=delta, w=w, m=m)
+                         delta=delta, c2=params.sigma + beta * np.outer(h, h),
+                         w=w, m=m)
 
 
 def sample(params, n, rng):
@@ -201,7 +204,6 @@ def population_moments(params):
     k_pp = commutation_matrix(p)
     kron_h = np.kron(h, h)
 
-    c2 = sigma + beta * hh
     c3 = beta * gamma * nh2 * h
 
     cov_x_xkronx = beta * gamma * np.outer(h, kron_h)
@@ -235,7 +237,7 @@ def population_moments(params):
         4.0 * beta * tr_s * (sigma @ hh)
         + 8.0 * beta * (s2 @ hh)
         + 4.0 * beta * (1.0 - 3.0 * beta) * nh2 * (sigma @ hh)
-        + (2.0 * float(np.trace(s2)) + tr_s ** 2) * (sigma + beta * hh)
+        + (2.0 * float(np.trace(s2)) + tr_s ** 2) * d.c2
         + 4.0 * (cov_x_xxtx @ sigma)
         + beta * (2.0 * tr_s * nh2 + 4.0 * float(h @ sigma @ h))
         * (sigma + (1.0 - 3.0 * beta) * hh)
@@ -243,7 +245,7 @@ def population_moments(params):
     )
 
     return PopulationMoments(
-        c2=(c2 + c2.T) / 2.0,
+        c2=(d.c2 + d.c2.T) / 2.0,
         c3=c3,
         cov_x_xkronx=cov_x_xkronx,
         cov_xkronx=(cov_xkronx + cov_xkronx.T) / 2.0,
@@ -262,7 +264,7 @@ def whitened_mixture(params):
     C2^{-1/2} Sigma C2^{-1/2}.
     """
     d = derive(params)
-    root = inv_sqrt(params.sigma + d.beta * np.outer(d.h, d.h))
+    root = inv_sqrt(d.c2)
     h_w = root @ d.h
     sigma_w = root @ params.sigma @ root
     alpha2 = 1.0 - params.alpha1

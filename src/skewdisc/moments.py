@@ -1,5 +1,5 @@
 """Sample moment statistics: mean, covariance, the third-moment vector
-and the third-moment slices of whitened data, all as plain ndarrays.
+and the third-moment tensor of whitened data, all as plain ndarrays.
 
 The second moment uses divisor n (not n - 1) throughout, matching the
 estimator definitions the asymptotic theory is stated for.
@@ -16,7 +16,7 @@ def sample_moments(x):
     Returns
     -------
     (mean, c2) : (ndarray (p,), ndarray (p, p))
-        c2 is symmetric to the last bit.
+        c2 is second_moment(x - mean), symmetric to the last bit.
 
     An x that is not two-dimensional or has fewer than 2 rows raises
     ValueError; a covariance that overflows raises NonFiniteError.
@@ -24,15 +24,19 @@ def sample_moments(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected an n x p array, got shape {x.shape}")
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("need at least 2 observations for sample moments")
     mean = x.mean(axis=0)
-    xc = x - mean
-    c2 = xc.T @ xc / n
+    c2 = second_moment(x - mean)
     if not np.isfinite(c2).all():
         raise NonFiniteError("sample covariance overflows; rescale the data")
-    return mean, (c2 + c2.T) / 2.0
+    return mean, c2
+
+
+def second_moment(xc):
+    """(1/n) sum_i x_i x_i' of the rows of a centered array xc, symmetric."""
+    c2 = xc.T @ xc / xc.shape[0]
+    return (c2 + c2.T) / 2.0
 
 
 def third_moment(xc):
@@ -42,22 +46,32 @@ def third_moment(xc):
 
 
 def tk_slices(whitened):
-    """Third-moment slices of already centered and whitened data, as one
-    (p, p, p) array: slice k is (1/n) sum_i z_i z_i' (e_k' z_i),
-    symmetrised so that each slice is symmetric to the last bit.
-
-    One pass per coordinate; no (n, p, p) intermediate is stored.
-    """
+    """Third-moment tensor T[k, a, b] = (1/n) sum_i z_ik z_ia z_ib of
+    already centered and whitened rows z_i, as one (p, p, p) array whose
+    slice k is T_k; T(e_k, u, u) = (1/n) sum_i z_ik (u'z_i)^2 is the
+    projection pursuit step. Only the blocks T[k, k:, k:] are summed, over
+    blocks of at most min(8192, 2^15 / p + 1) rows copied coordinate-major,
+    so that each temporary holds about 2^15 values or fewer and stays in
+    cache; the rest is filled by the index symmetry of T, which holds to
+    the last bit."""
     z = np.asarray(whitened, dtype=float)
     n, p = z.shape
-    t = np.empty((p, p, p))
+    step = min(8192, 2 ** 15 // p + 1)
+    t = np.zeros((p, p, p))
+    for rows in np.split(z, range(step, n, step)):
+        cols = rows.T.copy()
+        for k in range(p):
+            t[k, k:, k:] += (cols[k:] * cols[k]) @ cols[k:].T
     for k in range(p):
-        t[k] = z.T @ (z * z[:, [k]]) / n
-    return (t + t.transpose(0, 2, 1)) / 2.0
+        block = (t[k, k:, k:] + t[k, k:, k:].T) / (2.0 * n)
+        t[k, k:, k:] = t[k:, k, k:] = t[k:, k:, k] = block
+    return t
 
 
 def tobi_matrix(tk):
     """Sum of squared third-moment slices, tk a (p, p, p) array of
-    symmetric slices; symmetric positive semidefinite by construction."""
-    t = sum(s @ s for s in tk)
+    symmetric slices: U U' of the mode-1 unfolding U[a, (k, b)] =
+    T[k, a, b]. Symmetric positive semidefinite by construction."""
+    unfolding = tk.transpose(1, 0, 2).reshape(len(tk), -1)
+    t = unfolding @ unfolding.T
     return (t + t.T) / 2.0

@@ -1,19 +1,21 @@
 """Direction estimators: exact population behavior via moment injection,
 large-sample convergence, equivariance and degenerate-input handling."""
 
+import math
+
 import numpy as np
 import pytest
 
 from skewdisc.errors import (DegenerateSkewnessError, NearSingularError,
                              NonFiniteError, SupervisionRequiredError)
-from skewdisc.estimators import (DEFAULT_MAX_ITER, JADE3, LDA, METHODS, MOM,
-                                 PP, SKEWVEC, TOBI, align_sign, est_jade3,
-                                 est_lda, est_mom, est_pp, est_skewvec,
-                                 est_tobi, jade3_unit, mom_direction,
-                                 skewness_floor, skewvec_direction, tobi_unit,
-                                 whiten)
+from skewdisc.estimators import (DEFAULT_MAX_ITER, DEFAULT_TOL, JADE3, LDA,
+                                 METHODS, MOM, PP, SKEWVEC, TOBI, _fixed_point,
+                                 align_sign, est_jade3, est_lda, est_mom,
+                                 est_pp, est_skewvec, est_tobi, jade3_unit,
+                                 mom_direction, skewness_floor,
+                                 skewvec_direction, tobi_unit, whiten)
 from skewdisc.linalg import inv_sqrt
-from skewdisc.moments import third_moment
+from skewdisc.moments import sample_moments, third_moment
 from skewdisc.model import (DataSet, MixtureParams, derive,
                             population_moments, sample, whitened_mixture)
 
@@ -184,6 +186,102 @@ class TestSampleConvergence:
         assert jade.converged and 0 < jade.iterations < DEFAULT_MAX_ITER
         pp = est_pp(ds)
         assert pp.converged and 0 < pp.iterations < DEFAULT_MAX_ITER
+
+
+def random_aat_sample(p, n, seed):
+    """A mixture sample with Sigma = A A' and tau = 8, as in msi-p30."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p))
+    direction = unit(rng.standard_normal(p))
+    h = math.sqrt(8.0) * (a @ direction)
+    params = MixtureParams(alpha1=0.7, mu1=-0.3 * h, mu2=0.7 * h, sigma=a @ a.T)
+    return sample(params, n, rng)
+
+
+def first_step(tk, u):
+    """The (tu, coef) pair the fixed-point loop hands its step at unit u."""
+    seen = []
+
+    def step(tu, coef):
+        seen.append((tu, coef))
+        return coef, None
+
+    _fixed_point(tk, step, u, DEFAULT_TOL, 1, None)
+    return seen[0]
+
+
+class TestTensorSteps:
+    """JADE3 and PP step on the cached tensor T = whiten(data).tk: PP's
+    update is coef = T(., u, u), JADE3's is coef @ tu."""
+
+    @pytest.mark.parametrize("p", [3, 10, 30])
+    def test_pp_step_is_data_pass(self, p):
+        wh = whiten(random_aat_sample(p, 2000, p))
+        z = wh.whitened
+        for u in np.random.default_rng(p).standard_normal((5, p)):
+            u = unit(u)
+            want = z.T @ ((z @ u) ** 2) / len(z)
+            _, got = first_step(wh.tk, u)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [3, 10, 30])
+    def test_jade3_step_is_slice_sum(self, p):
+        tk = whiten(random_aat_sample(p, 2000, p)).tk
+        u = unit(np.random.default_rng(p).standard_normal(p))
+        tu, coef = first_step(tk, u)
+        want = sum((u @ s @ u) * (s @ u) for s in tk)
+        assert np.abs(coef @ tu - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pp_matches_data_pass_iteration(self, seed):
+        # reference: the PP fixed point by passes over the whitened data
+        ds = sample(reference_params(), 5000, np.random.default_rng(seed))
+        wh = whiten(ds)
+        z = wh.whitened
+        u = unit(wh.c3)
+        for iterations in range(1, DEFAULT_MAX_ITER + 1):
+            new_u = unit(z.T @ ((z @ u) ** 2) / ds.n)
+            converged = 1.0 - abs(new_u @ u) < DEFAULT_TOL
+            u = new_u
+            if converged:
+                break
+        est = est_pp(ds)
+        assert est.converged and converged and est.iterations == iterations
+        np.testing.assert_allclose(est.unit, unit(wh.whitener @ u), rtol=0, atol=1e-12)
+
+
+def mom_three_centrings(x, alpha1):
+    """Reference MOM by the scale-then-centre path: scale the raw data by
+    2^-e, then centre it inside sample_moments for C2 and again for c3."""
+    _, e = math.frexp(float(np.abs(x - x.mean(axis=0)).max()))
+    x = np.ldexp(x, -e)
+    mean, c2 = sample_moments(x)
+    return np.ldexp(mom_direction(c2, third_moment(x - mean), alpha1), -e)
+
+
+def mom_regression_samples():
+    """The README's quick-start sample and 20 seeded samples of both test
+    mixtures, at data scales from 1e-120 to 1e108."""
+    yield sample(reference_params(), 5000, np.random.default_rng(7)), 0.7
+    for seed in range(20):
+        params = reference_params() if seed % 2 else skewed_params()
+        rng = np.random.default_rng(500 + seed)
+        ds = sample(params, int(rng.integers(100, 4000)), rng)
+        scale = 10.0 ** (12 * (seed - 10))
+        yield DataSet(ds.observations * scale), params.alpha1
+
+
+class TestMomCentresOnce:
+    def test_direction_bit_identical_to_three_centrings(self):
+        tiny = np.finfo(float).tiny
+        for ds, alpha1 in mom_regression_samples():
+            x = ds.observations
+            size = np.abs(x - x.mean(axis=0))
+            # Scaling by 2^-e commutes with the centring only while no
+            # centred value is subnormal.
+            assert not ((size > 0) & (size < tiny)).any()
+            np.testing.assert_array_equal(est_mom(ds, alpha1).raw,
+                                          mom_three_centrings(x, alpha1))
 
 
 class TestAffineEquivariance:

@@ -130,6 +130,19 @@ class TestDerive:
             assert d.delta == pytest.approx(
                 (1.0 + d.beta * d.tau) ** -0.5, rel=1e-12)
 
+    def test_c2_is_the_one_population_covariance(self):
+        # derive forms Sigma + beta h h' once; population_moments,
+        # whitened_mixture and avar_mom read it from there
+        params = MixtureParams(alpha1=0.75, mu1=np.array([0.2, -0.5, 1.0]),
+                               mu2=np.array([3.4, 1.9, -0.2]),
+                               sigma=np.array([[2.0, 0.4, 0.0], [0.4, 1.2, -0.3],
+                                               [0.0, -0.3, 0.8]]))
+        d = derive(params)
+        np.testing.assert_array_equal(
+            d.c2, params.sigma + d.beta * np.outer(d.h, d.h))
+        np.testing.assert_array_equal(population_moments(params).c2,
+                                      (d.c2 + d.c2.T) / 2.0)
+
     def test_mean_shift_irrelevant(self):
         base = reference_params()
         shifted = MixtureParams(alpha1=0.7,

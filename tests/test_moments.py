@@ -1,5 +1,6 @@
 """Sample moment statistics and third-moment slices."""
 
+import itertools
 import re
 
 import numpy as np
@@ -10,6 +11,18 @@ from skewdisc.model import (DataSet, MixtureParams, derive,
 from skewdisc.errors import NonFiniteError
 from skewdisc.moments import (sample_moments, third_moment, tk_slices,
                               tobi_matrix)
+
+
+#: Sizes below, at and across the row blocks tk_slices sums over: 8192
+#: rows for p <= 3, 3277 for p = 10 and 1093 for p = 30.
+BLOCK_EDGE_N = (1092, 1093, 1094, 2000, 3277, 8191, 8192, 8193, 20000)
+
+
+def skewed_rows(p, n):
+    """Centered rows with a skewed common factor, so T is far from zero."""
+    rng = np.random.default_rng(1000 * p + n)
+    z = rng.standard_normal((n, p)) + rng.exponential(size=(n, 1))
+    return z - z.mean(axis=0)
 
 
 def population_tk(law):
@@ -131,6 +144,22 @@ class TestTkSlices:
             want = (direct[k] + direct[k].T) / 2.0
             np.testing.assert_allclose(tk[k], want, atol=1e-12)
 
+    @pytest.mark.parametrize("n", BLOCK_EDGE_N)
+    @pytest.mark.parametrize("p", [2, 3, 10, 30])
+    def test_matches_einsum_across_row_blocks(self, p, n):
+        z = skewed_rows(p, n)
+        want = np.einsum("ni,nj,nk->ijk", z, z, z) / n
+        got = tk_slices(z)
+        assert got.shape == (p, p, p)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_N)
+    @pytest.mark.parametrize("p", [2, 3, 10, 30])
+    def test_symmetric_under_every_index_permutation(self, p, n):
+        tk = tk_slices(skewed_rows(p, n))
+        for perm in itertools.permutations(range(3)):
+            np.testing.assert_array_equal(tk, tk.transpose(perm))
+
     def test_slices_symmetric(self):
         rng = np.random.default_rng(25)
         z = rng.standard_normal((100, 3))
@@ -160,6 +189,12 @@ class TestTobiMatrix:
         tk = tk_slices(z)
         direct = sum(s @ s for s in tk)
         np.testing.assert_allclose(tobi_matrix(tk), direct, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 10, 30])
+    def test_equals_sum_of_squared_slices(self, p):
+        tk = tk_slices(skewed_rows(p, 2000))
+        want = sum(s @ s for s in tk)
+        assert np.abs(tobi_matrix(tk) - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_positive_semidefinite_symmetric(self):
         rng = np.random.default_rng(28)
