@@ -159,6 +159,9 @@ def _cmd_estimate(args):
         raise UsageError(f"--alpha1 is required for method {args.method}")
     if not method.needs_alpha1 and args.alpha1 is not None:
         raise UsageError(f"--alpha1 is not accepted by method {args.method}")
+    if args.max_iter < 1 or not 0.0 < args.tol < np.inf:
+        raise UsageError("--max-iter must be at least 1 and --tol finite and > 0, "
+                         f"got {args.max_iter} and {args.tol}")
     _require_file(args.input)
     data = load_csv(args.input)
     if method.needs_labels and data.labels is None:

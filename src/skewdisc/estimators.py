@@ -19,13 +19,12 @@ reference vector.
 SKEWVEC, TOBI, JADE3 and PP share one pipeline: whiten(data) centres,
 whitens and takes third moments once per dataset and keeps the Whitening
 record on the DataSet for every later method; MOM and LDA use the raw
-data. JADE3 and PP share one fixed-point loop on the cached tensor T
-(Whitening.tk): PP's step mean((u'z)^2 z) = T(., u, u) is the coefficient
-vector of JADE3's. METHODS, the one method table, is what the command
-line and the simulations dispatch through.
+data. The record caches T (Whitening.tk) and the TOBI pair (Whitening.tobi)
+that JADE3 starts from. JADE3 and PP share one fixed-point loop on T: PP's
+step mean((u'z)^2 z) = T(., u, u) is the coefficient vector of JADE3's.
+METHODS, the one method table, is what the CLI and simulations dispatch through.
 """
 
-import dataclasses
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ import numpy as np
 from . import moments as mom
 from .asymptotics import c0_constant, c_lda, c_skewvec
 from .errors import DegenerateSkewnessError, NonFiniteError, SupervisionRequiredError
-from .linalg import inv_sqrt, sym_eigen
+from .linalg import _norm, inv_sqrt, sym_eigen
 
 MOM = "MOM"
 SKEWVEC = "SKEWVEC"
@@ -49,7 +48,7 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 _MAX_RESTARTS = 5
 _UNDERFLOW = 1e-300
-# Below this norm, np.linalg.norm sums subnormal squares and loses digits.
+# Below this norm, the unscaled norm sums subnormal squares and loses digits.
 _TINY_NORM = 2.0 ** -511
 
 
@@ -77,8 +76,8 @@ class Whitening:
     whitener = C2^{-1/2} of the sample covariance (divisor n), whitened
     rows z_i = whitener @ (x_i - mean), c3 = third_moment(z) (only est_mom
     takes the raw data's), whether ||c3|| is below skewness_floor(p)
-    (affine invariant, as the whitened covariance trace is p), and the T_k
-    slices of z as one (p, p, p) array, built on first use."""
+    (affine invariant, as the whitened covariance trace is p), and, built on first
+    use, tk = the T_k slices of z as one (p, p, p) array and tobi = tobi_unit(tk)."""
 
     mean: np.ndarray
     whitener: np.ndarray
@@ -86,6 +85,7 @@ class Whitening:
     c3: np.ndarray
     symmetric: bool
     _tk: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _tobi: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def skewness(self):
         """c3; raises DegenerateSkewnessError when the sample looks symmetric."""
@@ -102,9 +102,15 @@ class Whitening:
             object.__setattr__(self, "_tk", mom.tk_slices(self.whitened))
         return self._tk
 
+    @property
+    def tobi(self):
+        if self._tobi is None:
+            object.__setattr__(self, "_tobi", tobi_unit(self.tk))
+        return self._tobi
+
 
 def _estimate(raw, method, converged=True, iterations=0, notes=()):
-    nrm = np.linalg.norm(raw)
+    nrm = _norm(raw)
     if nrm == 0.0:
         raise DegenerateSkewnessError(f"{method} produced a zero direction")
     if not math.isfinite(nrm) or nrm < _TINY_NORM:
@@ -143,7 +149,7 @@ def whiten(data):
         c3 = mom.third_moment(z)
         object.__setattr__(data, "whitening", Whitening(
             mean=mean, whitener=whitener, whitened=z, c3=c3,
-            symmetric=bool(np.linalg.norm(c3) < skewness_floor(float(data.p)))))
+            symmetric=bool(_norm(c3) < skewness_floor(float(data.p)))))
     return data.whitening
 
 
@@ -162,7 +168,7 @@ def mom_direction(c2, c3, alpha1):
     alpha2 = 1.0 - alpha1
     beta = alpha1 * alpha2
     gamma = alpha1 - alpha2
-    nc3 = np.linalg.norm(c3)
+    nc3 = _norm(c3)
     inner = c2 - beta ** (1 / 3) * gamma ** (-2 / 3) * nc3 ** (-4 / 3) * np.outer(c3, c3)
     rhs = beta ** (-1 / 3) * gamma ** (-1 / 3) * nc3 ** (-2 / 3) * c3
     return np.linalg.solve(inner, rhs)
@@ -190,7 +196,7 @@ def est_mom(data, alpha1):
     xc = np.ldexp(xc, -e)
     c2 = mom.second_moment(xc)
     c3 = mom.third_moment(xc)
-    if np.linalg.norm(c3) < skewness_floor(float(np.trace(c2))):
+    if _norm(c3) < skewness_floor(float(np.trace(c2))):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
         )
@@ -237,7 +243,7 @@ def est_tobi(data):
     leading eigenvector of the squared-slice sum. A tied leading
     eigenvalue is reported through notes, not raised."""
     wh = whiten(data)
-    u, ambiguous = tobi_unit(wh.tk)
+    u, ambiguous = wh.tobi
     notes = ("ambiguous leading eigenvalue",) if ambiguous else ()
     return _estimate(wh.whitener @ u, TOBI, notes=notes)
 
@@ -247,35 +253,37 @@ def _fixed_point(tk, step, init, tol, max_iter, rng):
     # (update, objective) = step(tu, coef) with tu[k] = T_k u and coef[k] =
     # u' T_k u = T(e_k, u, u), both from one matrix-vector product with the
     # (p*p, p) view of T. An objective (None: nothing to watch) that drops
-    # between iterates adds the note "objective decreased".
+    # between iterates adds the note "objective decreased". On the contiguous
+    # arrays made here ndarray.dot rounds as @ does, at less call overhead;
+    # rows @ u keeps @, as rows may view a caller's strided tk.
     if rng is None:
         rng = np.random.default_rng(0)
     p = len(init)
     rows = tk.reshape(p * p, p)
-    u = init / np.linalg.norm(init)
+    u = init / _norm(init)
     notes = []
     iterations = 0
     restarts = 0
     prev_obj = None
     while iterations < max_iter:
         tu = (rows @ u).reshape(p, p)
-        update, obj = step(tu, tu @ u)
+        update, obj = step(tu, tu.dot(u))
         if prev_obj is not None and obj < prev_obj - 1e-12 * max(1.0, prev_obj):
             notes.append("objective decreased")
         prev_obj = obj
-        nrm = math.sqrt(update @ update)
+        nrm = math.sqrt(update.dot(update))
         if not math.isfinite(nrm) or nrm < _UNDERFLOW:
             if restarts >= _MAX_RESTARTS:
                 notes.append("restarts exhausted")
                 break
             restarts += 1
             u = rng.standard_normal(len(u))
-            u /= np.linalg.norm(u)
+            u /= _norm(u)
             prev_obj = None
             continue
         new_u = update / nrm
         iterations += 1
-        crit = 1.0 - abs(new_u @ u)
+        crit = 1.0 - abs(float(new_u.dot(u)))
         u = new_u
         if crit < tol:
             return u, True, iterations, tuple(notes)
@@ -295,7 +303,7 @@ def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     -------
     (u, converged, iterations, notes)
     """
-    return _fixed_point(tk, lambda tu, coef: (coef @ tu, coef @ coef), init,
+    return _fixed_point(tk, lambda tu, coef: (coef.dot(tu), float(coef.dot(coef))), init,
                         tol, max_iter, rng)
 
 
@@ -303,7 +311,7 @@ def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     """3-JADE estimate, started from the TOBI eigenvector of the same
     whitened slices; restarts draw from rng."""
     wh = whiten(data)
-    init, ambiguous = tobi_unit(wh.tk)
+    init, ambiguous = wh.tobi
     notes = ("ambiguous leading eigenvalue in init",) if ambiguous else ()
     u, converged, iterations, jade_notes = jade3_unit(
         wh.tk, init, tol=tol, max_iter=max_iter, rng=rng)
@@ -371,10 +379,11 @@ def align_sign(est, reference):
     vector: flip when unit' reference < 0, leave the orthogonal case
     untouched."""
     reference = np.asarray(reference, dtype=float)
-    if np.linalg.norm(reference) == 0.0:
+    if _norm(reference) == 0.0:
         raise ValueError("sign reference must be nonzero")
     if float(est.unit @ reference) < 0.0:
-        return dataclasses.replace(est, raw=-est.raw, unit=-est.unit)
+        return DirectionEstimate(-est.raw, -est.unit, est.method, est.converged,
+                                 est.iterations, est.notes)
     return est
 
 

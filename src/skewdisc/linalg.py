@@ -19,6 +19,12 @@ SYMMETRY_RTOL = 1e-12
 SINGULARITY_RTOL = 1e-12
 
 
+def _norm(a):
+    # np.linalg.norm(a) of a real array, bit for bit, without its argument handling.
+    v = a.ravel("K")
+    return np.sqrt(v.dot(v))
+
+
 def _check_symmetric(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -26,8 +32,8 @@ def _check_symmetric(m):
     # Checked first: the comparison below is False for NaN.
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix has non-finite entries")
-    gap = np.linalg.norm(m - m.T)
-    scale = max(np.linalg.norm(m), 1.0)
+    gap = _norm(m - m.T)
+    scale = max(_norm(m), 1.0)
     if gap > SYMMETRY_RTOL * scale:
         raise SymmetryError(
             f"matrix is not symmetric: asymmetry {gap:.3e} exceeds "

@@ -113,7 +113,7 @@ class DataSet:
             lab = np.asarray(self.labels)
             if lab.shape != (obs.shape[0],):
                 raise ValueError("labels length must match the number of rows")
-            if not np.isin(lab, (-1, 1)).all():
+            if not ((lab == 1) | (lab == -1)).all():
                 raise ValueError("labels must take values in {-1, +1}")
             object.__setattr__(self, "labels", lab.astype(int))
 
@@ -171,11 +171,10 @@ def sample(params, n, rng):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    p = params.p
     from_first = rng.random(n) < params.alpha1
-    noise = rng.standard_normal((n, p))
+    noise = rng.standard_normal((n, params.p))
     chol = np.linalg.cholesky(params.sigma)
-    means = np.where(from_first[:, None], params.mu1, params.mu2)
+    means = np.stack((params.mu2, params.mu1))[from_first.astype(np.intp)]
     obs = means + noise @ chol.T
     labels = np.where(from_first, -1, 1)
     return DataSet(observations=obs, labels=labels)

@@ -33,6 +33,7 @@ import numpy as np
 from . import estimators
 from .asymptotics import TAU_LIMIT
 from .errors import ConfigError, Error, WeightDivergenceError
+from .linalg import _norm
 from .model import MixtureParams, sample
 
 SIGMA_IDENTITY = "identity"
@@ -117,14 +118,14 @@ def orth_unit(h):
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.shape[0] < 2:
         raise ValueError("h must be a vector of dimension at least 2")
-    nrm = np.linalg.norm(h)
+    nrm = _norm(h)
     if nrm == 0.0:
         raise ValueError("h must be nonzero")
     j = int(np.argmin(np.abs(h)))
     t = np.zeros(h.shape[0])
     t[j] = 1.0
     t -= (h[j] / nrm ** 2) * h
-    return t / np.linalg.norm(t)
+    return t / _norm(t)
 
 
 def msi(u, v):
@@ -132,8 +133,8 @@ def msi(u, v):
     1 for (anti)parallel vectors."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    nu = _norm(u)
+    nv = _norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("msi is undefined for zero vectors")
     return min(abs(float(u @ v)) / (nu * nv), 1.0)
@@ -178,7 +179,7 @@ def _msi_replicate(config, cell_index, alpha1, tau, n, rep_index):
         a = np.eye(p)
         sigma = a
     direction = rng.standard_normal(p)
-    direction /= np.linalg.norm(direction)
+    direction /= _norm(direction)
     # The replicate is the image under x -> A x of a canonical mixture
     # with identity covariance and separation sqrt(tau) * direction, so
     # h' Sigma^{-1} h = tau holds exactly.

@@ -224,6 +224,27 @@ class TestEstimate:
         assert payload["error"] == "UsageError"
         assert "--alpha1" in payload["message"]
 
+    @pytest.mark.parametrize("option,value", [
+        ("--max-iter", "-5"), ("--max-iter", "0"), ("--tol", "nan"), ("--tol", "-1"),
+        ("--tol", "inf"), ("--tol", "0"),
+    ])
+    def test_fixed_point_settings_out_of_range(self, sample_csv, capsys, option, value):
+        # a cap below 1 would report TOBI's starting vector as JADE3's
+        # answer, and a tol that is not finite and > 0 stops at once or never
+        code, out, err = run_cli(
+            ["estimate", sample_csv, "--method", "jade3", option, value], capsys)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "UsageError"
+        assert option in payload["message"]
+
+    def test_fixed_point_settings_at_their_limits(self, sample_csv, capsys):
+        code, out, err = run_cli(["estimate", sample_csv, "--method", "jade3",
+                                  "--max-iter", "1", "--tol", "1e-300"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["iterations"] == 1
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["mom", "skewvec", "tobi", "jade3", "lda", "pp"])
     def test_overflowing_moments(self, tmp_path, capsys, method):

@@ -9,8 +9,9 @@ import pytest
 from skewdisc.errors import (DegenerateSkewnessError, NearSingularError,
                              NonFiniteError, SupervisionRequiredError)
 from skewdisc.estimators import (DEFAULT_MAX_ITER, DEFAULT_TOL, JADE3, LDA,
-                                 METHODS, MOM, PP, SKEWVEC, TOBI, _fixed_point,
-                                 align_sign, est_jade3, est_lda, est_mom,
+                                 METHODS, MOM, PP, SKEWVEC, TOBI,
+                                 DirectionEstimate, _fixed_point, align_sign,
+                                 est_jade3, est_lda, est_mom,
                                  est_pp, est_skewvec, est_tobi, jade3_unit,
                                  mom_direction, skewness_floor,
                                  skewvec_direction, tobi_unit, whiten)
@@ -473,6 +474,21 @@ class TestAlignSign:
         ds = sample(reference_params(), 2000, np.random.default_rng(48))
         with pytest.raises(ValueError):
             align_sign(est_tobi(ds), np.zeros(3))
+
+    def test_underflowing_reference_rejected(self):
+        # the norm of [1e-200, 0] underflows to 0 although an entry is not 0
+        est = DirectionEstimate(raw=np.array([2.0, 0.0]), unit=np.array([1.0, 0.0]),
+                                method=TOBI, converged=True, iterations=0)
+        with pytest.raises(ValueError, match="nonzero"):
+            align_sign(est, np.array([1e-200, 0.0]))
+
+    def test_flip_keeps_diagnostics(self):
+        ds = sample(reference_params(), 2000, np.random.default_rng(50))
+        est = est_jade3(ds)
+        flipped = align_sign(est, -est.unit)
+        assert flipped.iterations > 0
+        assert ((flipped.method, flipped.converged, flipped.iterations, flipped.notes)
+                == (est.method, est.converged, est.iterations, est.notes))
 
     def test_original_untouched(self):
         ds = sample(reference_params(), 2000, np.random.default_rng(49))

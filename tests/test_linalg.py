@@ -4,8 +4,40 @@ import numpy as np
 import pytest
 
 from skewdisc.errors import NearSingularError, NonFiniteError, SymmetryError
-from skewdisc.linalg import (commutation_matrix, inv_sqrt, kron_sum_inverse,
+from skewdisc.linalg import (_norm, commutation_matrix, inv_sqrt, kron_sum_inverse,
                              projector_pair, sym_eigen)
+
+
+def same_bits(got, want):
+    return type(got) is type(want) and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestNorm:
+    """_norm is np.linalg.norm without its argument handling: the same
+    value, bit for bit, and the same type."""
+
+    def test_random_vectors_and_views(self):
+        rng = np.random.default_rng(6)
+        for p in list(range(1, 40)) + [64, 257]:
+            m = rng.standard_normal((p, p + 1)) * 10.0 ** rng.integers(-8, 8)
+            for v in (m[0], m[:, 0], m[::-1, 1], m[0, ::2]):
+                assert same_bits(_norm(v), np.linalg.norm(v)), p
+
+    @pytest.mark.parametrize("v", [
+        np.full(5, 1e200),                   # the sum of squares overflows
+        np.array([1e-200, 0.0, -3e-200]),    # the sum of squares underflows
+        np.array([5e-324, -2.2e-308, 1e-310]),
+        np.zeros(4),
+    ], ids=["1e200", "1e-200", "subnormal", "zero"])
+    def test_extreme_vectors(self, v):
+        with np.errstate(over="ignore"):
+            assert same_bits(_norm(v), np.linalg.norm(v))
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 30])
+    def test_frobenius(self, p):
+        m = np.random.default_rng(p).standard_normal((p, p))
+        for a in (m, m - m.T, m.T, np.asfortranarray(m), m[:, ::-1]):
+            assert same_bits(_norm(a), np.linalg.norm(a))
 
 
 class TestSymEigen:

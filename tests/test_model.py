@@ -172,6 +172,22 @@ class TestDataSet:
         with pytest.raises(ValueError):
             DataSet(observations=np.zeros(5))
 
+    # Complex labels equal to +-1 pass the check and are then cast to int.
+    @pytest.mark.filterwarnings("ignore:Casting complex values to real")
+    @pytest.mark.parametrize("labels", [
+        [1, -1], [0, 1], [1.0, -1.0], [1.0, 0.5], [True, True], [True, False],
+        ["1", "-1"], np.array([1, -1], dtype=object), np.array([1, "1"], dtype=object),
+        [1 + 0j, -1], [1j, 1], [np.nan, 1.0], [None, 1], [None, None],
+    ])
+    def test_label_check_agrees_with_isin(self, labels):
+        lab = np.asarray(labels)
+        obs = np.zeros((len(lab), 2))
+        if np.isin(lab, (-1, 1)).all():
+            np.testing.assert_array_equal(DataSet(obs, labels=lab).labels, lab.astype(int))
+        else:
+            with pytest.raises(ValueError, match="labels must take values"):
+                DataSet(obs, labels=lab)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         obs = np.zeros((3, 2))
@@ -212,6 +228,21 @@ class TestSample:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample(reference_params(), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p", [2, 3, 30])
+    def test_means_as_np_where_picks_them(self, p):
+        rng = np.random.default_rng(p)
+        a = rng.standard_normal((p, p))
+        params = MixtureParams(alpha1=0.7, mu1=rng.standard_normal(p),
+                               mu2=rng.standard_normal(p), sigma=a @ a.T + np.eye(p))
+        got = sample(params, 500, np.random.default_rng(90 + p))
+        draw = np.random.default_rng(90 + p)
+        from_first = draw.random(500) < params.alpha1
+        noise = draw.standard_normal((500, p))
+        want = (np.where(from_first[:, None], params.mu1, params.mu2)
+                + noise @ np.linalg.cholesky(params.sigma).T)
+        assert got.observations.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got.labels, np.where(from_first, -1, 1))
 
 
 class TestPopulationMoments:

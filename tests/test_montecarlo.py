@@ -365,8 +365,9 @@ class TestSharedWhitening:
 
     def run_six(self, monkeypatch):
         calls = {}
-        count_calls(monkeypatch, calls, linalg, "inv_sqrt")
-        count_calls(monkeypatch, calls, moments, "tk_slices")
+        for home, name in ((linalg, "inv_sqrt"), (moments, "tk_slices"),
+                           (moments, "tobi_matrix"), (linalg, "sym_eigen")):
+            count_calls(monkeypatch, calls, home, name)
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
         results = _chat_replicate(cfg, 0, 0.7, 8.0, 600, 0)
         assert all(pair is not None for pair in results)
@@ -377,6 +378,33 @@ class TestSharedWhitening:
 
     def test_tk_slices_built_once(self, monkeypatch):
         assert self.run_six(monkeypatch)["tk_slices"] == 1
+
+    def test_tobi_eigenpair_solved_once(self, monkeypatch):
+        # TOBI and JADE3's starting point share one squared-slice sum and
+        # one eigensolve
+        calls = self.run_six(monkeypatch)
+        assert (calls["tobi_matrix"], calls["sym_eigen"]) == (1, 1)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_jade3_same_with_or_without_tobi_first(self, tied):
+        if tied:
+            # vertices of an equilateral triangle times a symmetric third
+            # coordinate: the two leading TOBI eigenvalues tie
+            angles = np.deg2rad([90.0, 210.0, 330.0])
+            x = np.array([[np.cos(a), np.sin(a), c] for a in angles
+                          for c in (-1.0, 1.0)] * 30)
+        else:
+            h = np.array([np.sqrt(8.0), 0.0, 0.0])
+            x = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600,
+                             np.random.default_rng(3)).observations
+        fresh = estimators.est_jade3(model.DataSet(x), rng=np.random.default_rng(1))
+        data = model.DataSet(x)
+        estimators.est_tobi(data)
+        after = estimators.est_jade3(data, rng=np.random.default_rng(1))
+        assert fresh.unit.tobytes() == after.unit.tobytes()
+        assert (fresh.converged, fresh.iterations, fresh.notes) == (
+            after.converged, after.iterations, after.notes)
+        assert ("ambiguous leading eigenvalue in init" in after.notes) == tied
 
     def test_replicate_matches_direct_calls(self):
         # the method table gives each method the same answer as calling
