@@ -223,7 +223,8 @@ def est_skewvec(data):
 
 def tobi_unit(tk):
     """Leading unit eigenvector of sum_k T_k^2 in whitened coordinates;
-    tk is the (p, p, p) array of slices.
+    tk is the (p, p, p) array of slices. Raises DegenerateSkewnessError
+    when the trace of that sum, ||T||_F^2, is below skewness_floor(p)^2.
 
     Returns
     -------
@@ -232,7 +233,11 @@ def tobi_unit(tk):
         in which case the returned eigenvector is arbitrary within the
         tied subspace.
     """
-    values, vectors = sym_eigen(mom.tobi_matrix(tk))
+    squares = mom.tobi_matrix(tk)
+    if np.trace(squares) < skewness_floor(float(len(tk))) ** 2:
+        raise DegenerateSkewnessError(
+            "whitened third-moment tensor is numerically zero; the sample looks symmetric")
+    values, vectors = sym_eigen(squares)
     ambiguous = len(values) > 1 and bool(
         values[0] - values[1] <= 1e-10 * max(abs(values[0]), _UNDERFLOW))
     return vectors[:, 0], ambiguous
@@ -240,8 +245,8 @@ def tobi_unit(tk):
 
 def est_tobi(data):
     """Third-order blind identification estimate: whitener times the
-    leading eigenvector of the squared-slice sum. A tied leading
-    eigenvalue is reported through notes, not raised."""
+    leading eigenvector of the squared-slice sum; raises as tobi_unit
+    does. A tied leading eigenvalue is reported through notes, not raised."""
     wh = whiten(data)
     u, ambiguous = wh.tobi
     notes = ("ambiguous leading eigenvalue",) if ambiguous else ()
@@ -309,7 +314,7 @@ def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
 
 def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     """3-JADE estimate, started from the TOBI eigenvector of the same
-    whitened slices; restarts draw from rng."""
+    whitened slices (so it raises where TOBI does); restarts draw from rng."""
     wh = whiten(data)
     init, ambiguous = wh.tobi
     notes = ("ambiguous leading eigenvalue in init",) if ambiguous else ()

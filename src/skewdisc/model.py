@@ -115,7 +115,7 @@ class DataSet:
                 raise ValueError("labels length must match the number of rows")
             if not ((lab == 1) | (lab == -1)).all():
                 raise ValueError("labels must take values in {-1, +1}")
-            object.__setattr__(self, "labels", lab.astype(int))
+            object.__setattr__(self, "labels", np.where(lab == 1, 1, -1))
 
     @property
     def n(self):

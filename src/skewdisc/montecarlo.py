@@ -17,10 +17,11 @@ msi_experiment
 
 Replicates are independent jobs with their own deterministic random
 stream; workers (default 1) run them on that many threads. A replicate
-reduces each method to the pair (t' theta_hat / ||theta_hat||, MSI),
-and the pairs reduce in replicate order, so tables are identical for any
-worker count. Replicates whose estimator fails or does not converge are
-excluded from the aggregates and counted in reps_failed.
+reduces each method to the one number its table reads, t' theta_hat /
+||theta_hat|| or the MSI, and these reduce in replicate order, so tables
+are identical for any worker count. Replicates whose estimator fails or
+does not converge are excluded from the aggregates and counted in
+reps_failed.
 """
 
 import itertools
@@ -145,32 +146,16 @@ def _mean_zero_params(alpha1, h, sigma):
     return MixtureParams(alpha1=alpha1, mu1=-alpha2 * h, mu2=alpha1 * h, sigma=sigma)
 
 
-def _evaluate(methods, data, theta, t, alpha1, rng):
-    # One entry per method: (t' unit, msi) of the sign-aligned estimate, or
-    # None when the estimator raised or did not converge.
-    out = []
-    for method in methods:
-        try:
-            est = estimators.METHODS[method].run(data, alpha1, rng=rng)
-        except (Error, ValueError, np.linalg.LinAlgError):
-            out.append(None)
-            continue
-        est = estimators.align_sign(est, theta)
-        out.append((float(t @ est.unit), msi(est.unit, theta)) if est.converged else None)
-    return out
-
-
-def _chat_replicate(config, cell_index, alpha1, tau, n, rep_index):
-    rng = rng_stream(config.master_seed, cell_index * config.reps + rep_index)
+def _chat_draw(config, alpha1, tau, rng):
+    # Sigma = I, so theta = h; t is the fixed unit vector orthogonal to h.
     h = np.zeros(config.p)
     h[0] = math.sqrt(tau)
-    data = sample(_mean_zero_params(alpha1, h, np.eye(config.p)), n, rng)
-    # Sigma = I, so theta = h.
-    return _evaluate(config.methods, data, h, orth_unit(h), alpha1, rng)
+    t = orth_unit(h)
+    return (_mean_zero_params(alpha1, h, np.eye(config.p)),
+            lambda est: float(t @ estimators.align_sign(est, h).unit))
 
 
-def _msi_replicate(config, cell_index, alpha1, tau, n, rep_index):
-    rng = rng_stream(config.master_seed, cell_index * config.reps + rep_index)
+def _msi_draw(config, alpha1, tau, rng):
     p = config.p
     if config.sigma_mode == SIGMA_RANDOM_AAT:
         a = rng.standard_normal((p, p))
@@ -184,30 +169,43 @@ def _msi_replicate(config, cell_index, alpha1, tau, n, rep_index):
     # with identity covariance and separation sqrt(tau) * direction, so
     # h' Sigma^{-1} h = tau holds exactly.
     h = math.sqrt(tau) * (a @ direction)
-    data = sample(_mean_zero_params(alpha1, h, sigma), n, rng)
-    return _evaluate(config.methods, data, np.linalg.solve(sigma, h),
-                     orth_unit(h), alpha1, rng)
+    theta = np.linalg.solve(sigma, h)
+    return _mean_zero_params(alpha1, h, sigma), lambda est: msi(est.unit, theta)
 
 
-def _rows(config, replicate, workers, summary):
+def _replicate(config, draw, cell_index, cell, rep_index):
+    """One entry per method: stat(estimate) on n rows drawn from the mixture
+    that draw(config, alpha1, tau, rng) returns with stat, or None when the
+    estimator raised (LinAlgError is a ValueError) or did not converge."""
+    alpha1, tau, n = cell
+    rng = rng_stream(config.master_seed, cell_index * config.reps + rep_index)
+    mixture, stat = draw(config, alpha1, tau, rng)
+    data = sample(mixture, n, rng)
+    out = []
+    for method in config.methods:
+        try:
+            est = estimators.METHODS[method].run(data, alpha1, rng=rng)
+        except (Error, ValueError):
+            out.append(None)
+            continue
+        out.append(stat(est) if est.converged else None)
+    return out
+
+
+def _rows(config, draw, workers, summary):
     """Run every replicate of every cell and reduce them to one row per
     (method, cell), sorted by (method, alpha1, tau, n). summary(method,
-    cell, used) gives the row's own columns from the usable pairs."""
+    cell, used) gives the row's own columns from the usable statistics."""
     if not (_number(workers, int) and workers >= 1):
         raise ConfigError(f"workers: must be at least 1, got {workers!r}")
     jobs = [(ci, cell, m)
             for ci, cell in enumerate(config.cells)
             for m in range(config.reps)]
-
-    def run(job):
-        ci, (alpha1, tau, n), m = job
-        return replicate(config, ci, alpha1, tau, n, m)
-
     if workers == 1:
-        batches = [run(job) for job in jobs]
+        batches = [_replicate(config, draw, *job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(run, jobs))
+            batches = list(pool.map(lambda job: _replicate(config, draw, *job), jobs))
     rows = []
     # Jobs run in cell order, reps jobs per cell.
     for ci, cell in enumerate(config.cells):
@@ -236,7 +234,7 @@ def chat_experiment(config, workers=1):
         alpha1, tau, n = cell
         c_hat = None
         if len(used) >= 2:
-            c_hat = float(n * np.var([t_proj for t_proj, _ in used], ddof=1))
+            c_hat = float(n * np.var(used, ddof=1))
         constant = estimators.METHODS[method].constant
         try:
             c_theory = None if constant is None else constant(alpha1, tau, config.p)
@@ -244,7 +242,7 @@ def chat_experiment(config, workers=1):
             c_theory = None
         return {"c_hat": c_hat, "c_theory": c_theory}
 
-    return _rows(config, _chat_replicate, workers, summary)
+    return _rows(config, _chat_draw, workers, summary)
 
 
 def msi_experiment(config, workers=1):
@@ -252,7 +250,7 @@ def msi_experiment(config, workers=1):
     (method, alpha1, tau, n) with keys method, alpha1, tau, n, p,
     reps_used, reps_failed, mean_msi."""
     def summary(method, cell, used):
-        mean = float(np.mean([m for _, m in used])) if used else None
+        mean = float(np.mean(used)) if used else None
         return {"p": config.p, "mean_msi": mean}
 
-    return _rows(config, _msi_replicate, workers, summary)
+    return _rows(config, _msi_draw, workers, summary)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from skewdisc.cli import CHAT_COLUMNS, MSI_COLUMNS, CsvFormatError, load_csv, main
 from skewdisc import cli, estimators
 from skewdisc.errors import Error
-from skewdisc.model import MixtureParams, sample
+from skewdisc.model import DataSet, MixtureParams, sample
 from skewdisc.montecarlo import msi
 
 
@@ -299,6 +302,17 @@ class TestEstimate:
         assert code == 1
         assert stderr_payload(err)["error"] == "DegenerateSkewnessError"
 
+    @pytest.mark.parametrize("method", ["mom", "skewvec", "tobi", "jade3", "pp"])
+    def test_degenerate_sample_refused_by_every_unsupervised_method(
+            self, tmp_path, capsys, method):
+        r = np.random.default_rng(62).standard_normal((100, 3))
+        path = write_dataset(tmp_path / "sym.csv", DataSet(np.vstack([r, -r])))
+        extra = ["--alpha1", "0.7"] if method == "mom" else []
+        code, out, err = run_cli(["estimate", path, "--method", method] + extra, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "DegenerateSkewnessError"
+
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1.0,2.0\n3.0\n")
@@ -439,6 +453,19 @@ class TestConstants:
         assert code in codes and out == ""
         assert len(err.splitlines()) == 1
         assert error in (None, json.loads(err)["error"])
+
+    @pytest.mark.parametrize("sigma,h,fragment", [
+        ("1,0;0", "1,0", "square"),
+        ("1,0;0,1", "1,0,0", "disagree"),
+    ], ids=["ragged-sigma", "dimensions"])
+    def test_malformed_sigma_or_h_named(self, sigma, h, fragment, capsys):
+        code, out, err = run_cli(
+            ["constants", "--alpha1", "0.7", "--sigma", sigma, "--h", h], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "UsageError"
+        assert fragment in payload["message"]
 
     def test_symmetric_weight_refused_with_sigma(self, capsys):
         code, out, err = run_cli(
@@ -581,6 +608,35 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert rows[0]["c_theory"] == ""
 
+    def test_c_theory_blank_where_constants_diverge(self, tmp_path, capsys):
+        # every constant diverges within asymptotics.WEIGHT_MARGIN of 0.5
+        cfg = write_config(tmp_path / "cfg.json", alpha_grid=[0.5 + 1e-7])
+        out_csv = tmp_path / "chat.csv"
+        assert run_cli(["simulate-chat", cfg, str(out_csv)], capsys)[0] == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["method"] for row in rows] == ["LDA", "TOBI"]
+        assert all(row["c_theory"] == "" for row in rows)
+
+    @pytest.mark.parametrize("payload,extra,error,fragment", [
+        (None, ["--workers", "0"], "ConfigError", "workers:"),
+        ([{"p": 2}], [], "ConfigError", "top level"),
+    ], ids=["no-workers", "list-config"])
+    def test_refused_before_any_replicate(self, tmp_path, capsys, payload, extra,
+                                          error, fragment):
+        cfg = tmp_path / "cfg.json"
+        if payload is None:
+            write_config(cfg)
+        else:
+            cfg.write_text(json.dumps(payload))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli(["simulate-chat", str(cfg), str(out_csv)] + extra, capsys)
+        assert code == 2 and out == "" and not out_csv.exists()
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == error
+        assert fragment in report["message"]
+
     @pytest.mark.parametrize("field,value", [
         ("alpha_grid", ["x"]),
         ("tau_grid", [1e308]),
@@ -596,3 +652,23 @@ class TestSimulate:
         payload = stderr_payload(err)
         assert payload["error"] == "ConfigError"
         assert payload["message"].startswith(f"{field}:")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["constants", "--alpha1", "0.7", "--tau", "4", "--p", "3"], 0),
+    (["constants", "--alpha1", "0.5", "--tau", "4", "--p", "3"], 2),
+], ids=["ok", "refused"])
+def test_module_entry_point(argv, code):
+    # the README names python3 -m skewdisc.cli; its exit code is main's
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "skewdisc.cli"] + argv,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == code, done.stderr
+    if code:
+        assert done.stdout == ""
+        assert json.loads(done.stderr)["error"] == "WeightDivergenceError"
+    else:
+        assert done.stdout.splitlines()[0] == "alpha1 = 0.7, tau = 4.0, p = 3"
+        assert done.stderr == ""

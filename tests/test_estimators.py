@@ -360,6 +360,17 @@ class TestDegenerateInputs:
         with pytest.raises(DegenerateSkewnessError):
             est_pp(mirrored_dataset())
 
+    @pytest.mark.parametrize("fit", [est_tobi, est_jade3], ids=["tobi", "jade3"])
+    def test_symmetric_sample_tobi_and_jade3(self, fit):
+        # they read T, not c3, so the gate is ||T||_F: the tied triangle of
+        # test_montecarlo has c3 at round-off but ||T||_F about 1.4
+        data = mirrored_dataset()
+        with pytest.raises(DegenerateSkewnessError, match="tensor is numerically zero"):
+            fit(data)
+        # a second call on the same DataSet refuses too
+        with pytest.raises(DegenerateSkewnessError):
+            fit(data)
+
     def test_skewness_floor_scaling(self):
         assert skewness_floor(1.0) == pytest.approx(1e-10)
         assert skewness_floor(4.0) == pytest.approx(8e-10)
@@ -438,6 +449,12 @@ class TestLdaErrors:
         labels = np.array([-1, 1, 1, 1, 1])
         with pytest.raises(ValueError):
             est_lda(DataSet(observations=obs, labels=labels))
+
+    def test_equal_class_means_give_zero_direction(self):
+        r = np.random.default_rng(48).standard_normal((30, 2))
+        ds = DataSet(observations=np.vstack([r, r]), labels=np.repeat([-1, 1], 30))
+        with pytest.raises(DegenerateSkewnessError, match="zero direction"):
+            est_lda(ds)
 
     def test_pooled_covariance_divisor(self):
         rng = np.random.default_rng(45)

@@ -172,8 +172,6 @@ class TestDataSet:
         with pytest.raises(ValueError):
             DataSet(observations=np.zeros(5))
 
-    # Complex labels equal to +-1 pass the check and are then cast to int.
-    @pytest.mark.filterwarnings("ignore:Casting complex values to real")
     @pytest.mark.parametrize("labels", [
         [1, -1], [0, 1], [1.0, -1.0], [1.0, 0.5], [True, True], [True, False],
         ["1", "-1"], np.array([1, -1], dtype=object), np.array([1, "1"], dtype=object),
@@ -183,7 +181,9 @@ class TestDataSet:
         lab = np.asarray(labels)
         obs = np.zeros((len(lab), 2))
         if np.isin(lab, (-1, 1)).all():
-            np.testing.assert_array_equal(DataSet(obs, labels=lab).labels, lab.astype(int))
+            got = DataSet(obs, labels=lab).labels
+            assert got.dtype.kind == "i"
+            np.testing.assert_array_equal(got, lab.real.astype(int))
         else:
             with pytest.raises(ValueError, match="labels must take values"):
                 DataSet(obs, labels=lab)

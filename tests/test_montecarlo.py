@@ -2,19 +2,20 @@
 aggregation and the two experiment protocols."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from skewdisc import estimators, linalg, model, moments
+from skewdisc import estimators, linalg, model, moments, montecarlo
 from skewdisc.asymptotics import c0_constant, c_lda, c_skewvec
 from skewdisc.errors import ConfigError
 from skewdisc.estimators import align_sign
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_MODES,
                                  SIGMA_RANDOM_AAT, ExperimentConfig,
-                                 _chat_replicate, _mean_zero_params,
-                                 chat_experiment, msi_experiment, msi,
-                                 orth_unit, rng_stream)
+                                 _chat_draw, _mean_zero_params, _msi_draw,
+                                 _replicate, chat_experiment, msi_experiment,
+                                 msi, orth_unit, rng_stream)
 
 ALL_SIX = ("MOM", "SKEWVEC", "TOBI", "JADE3", "LDA", "PP")
 
@@ -231,13 +232,13 @@ class TestChatExperiment:
         assert row["c_hat"] is not None and row["c_hat"] >= 0.0
 
     def test_projections_bounded_by_one(self):
-        from skewdisc.montecarlo import _chat_replicate
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
         for m in range(5):
-            for pair in _chat_replicate(cfg, 0, 0.7, 8.0, 600, m):
-                assert pair is not None
-                t_projection, similarity = pair
+            for t_projection in _replicate(cfg, _chat_draw, 0, (0.7, 8.0, 600), m):
+                assert t_projection is not None
                 assert abs(t_projection) <= 1.0
+            for similarity in _replicate(cfg, _msi_draw, 0, (0.7, 8.0, 600), m):
+                assert similarity is not None
                 assert 0.0 <= similarity <= 1.0
 
     def test_jade3_and_tobi_share_a_constant(self):
@@ -354,7 +355,7 @@ def count_calls(monkeypatch, calls, home, name):
         return original(*args, **kwargs)
 
     calls[name] = 0
-    for module in (linalg, moments, model, estimators):
+    for module in (linalg, moments, model, estimators, montecarlo):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, spy)
 
@@ -369,8 +370,8 @@ class TestSharedWhitening:
                            (moments, "tobi_matrix"), (linalg, "sym_eigen")):
             count_calls(monkeypatch, calls, home, name)
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
-        results = _chat_replicate(cfg, 0, 0.7, 8.0, 600, 0)
-        assert all(pair is not None for pair in results)
+        results = _replicate(cfg, _chat_draw, 0, (0.7, 8.0, 600), 0)
+        assert all(value is not None for value in results)
         return calls
 
     def test_inv_sqrt_once_for_whitening_once_for_lda(self, monkeypatch):
@@ -410,18 +411,62 @@ class TestSharedWhitening:
         # the method table gives each method the same answer as calling
         # its est_* function on the same draw
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
-        results = _chat_replicate(cfg, 0, 0.7, 8.0, 600, 1)
+        results = _replicate(cfg, _chat_draw, 0, (0.7, 8.0, 600), 1)
         rng = rng_stream(cfg.master_seed, 1)
         h = np.array([np.sqrt(8.0), 0.0, 0.0])
         data = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600, rng)
         assert len(results) == len(estimators.METHODS)
-        for method, (t_projection, _) in zip(estimators.METHODS, results):
-            fit = getattr(estimators, f"est_{method.lower()}")
-            if estimators.METHODS[method].needs_alpha1:
-                est = fit(data, 0.7)
-            elif method in (estimators.JADE3, estimators.PP):
-                est = fit(data, rng=rng)
-            else:
-                est = fit(data)
+        for (method, est), t_projection in zip(direct_estimates(data, rng), results):
             want = float(orth_unit(h) @ align_sign(est, h).unit)
             assert t_projection == want, method
+
+    def test_msi_replicate_matches_direct_calls(self):
+        # an msi replicate reports msi(unit, theta) of the estimate as it
+        # comes, to the last bit: MSI does not depend on the sign
+        cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,),
+                           sigma_mode=SIGMA_RANDOM_AAT)
+        results = _replicate(cfg, _msi_draw, 0, (0.7, 8.0, 600), 1)
+        rng = rng_stream(cfg.master_seed, 1)
+        a = rng.standard_normal((3, 3))
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        h = math.sqrt(8.0) * (a @ direction)
+        data = model.sample(_mean_zero_params(0.7, h, a @ a.T), 600, rng)
+        theta = np.linalg.solve(a @ a.T, h)
+        assert len(results) == len(estimators.METHODS)
+        for (method, est), similarity in zip(direct_estimates(data, rng), results):
+            assert similarity == msi(est.unit, theta), method
+
+    @pytest.mark.parametrize("draw,sigma_mode,want", [
+        (_chat_draw, SIGMA_IDENTITY, {"orth_unit": 1, "align_sign": 6, "msi": 0}),
+        (_msi_draw, SIGMA_RANDOM_AAT, {"orth_unit": 0, "align_sign": 0, "msi": 6}),
+    ], ids=["chat", "msi"])
+    def test_replicate_computes_only_its_statistic(self, monkeypatch, draw,
+                                                    sigma_mode, want):
+        # a chat replicate never takes an MSI; an msi replicate neither
+        # builds t nor aligns signs
+        calls = {}
+        for home, name in ((montecarlo, "orth_unit"), (estimators, "align_sign"),
+                           (montecarlo, "msi")):
+            count_calls(monkeypatch, calls, home, name)
+        cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,),
+                           sigma_mode=sigma_mode)
+        results = _replicate(cfg, draw, 0, (0.7, 8.0, 600), 0)
+        assert all(value is not None for value in results)
+        assert calls == want
+
+
+def direct_estimates(data, rng):
+    """(method, estimate) for every method of the table, in table order,
+    each from its est_* function; JADE3 and PP draw restarts from rng."""
+    out = []
+    for method in estimators.METHODS:
+        fit = getattr(estimators, f"est_{method.lower()}")
+        if estimators.METHODS[method].needs_alpha1:
+            est = fit(data, 0.7)
+        elif method in (estimators.JADE3, estimators.PP):
+            est = fit(data, rng=rng)
+        else:
+            est = fit(data)
+        out.append((method, est))
+    return out
