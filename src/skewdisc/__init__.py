@@ -13,7 +13,7 @@ from .model import (DataSet, DerivedParams, MixtureParams, PopulationMoments,
                     derive, population_moments, sample)
 from .moments import sample_moments, third_moment, tk_slices, tobi_matrix
 from .montecarlo import (ExperimentConfig, chat_experiment, msi,
-                         msi_experiment, orth_unit, rng_stream)
+                         msi_experiment, rng_stream)
 
 __version__ = "0.1.0"
 
@@ -25,6 +25,6 @@ __all__ = [
     "Whitening", "align_sign", "avar_ae", "avar_mom", "c0_constant", "c_lda",
     "c_skewvec", "chat_experiment", "derive", "est_jade3", "est_lda",
     "est_mom", "est_pp", "est_skewvec", "est_tobi", "msi", "msi_experiment",
-    "orth_unit", "population_moments", "rng_stream", "sample",
-    "sample_moments", "third_moment", "tk_slices", "tobi_matrix", "whiten",
+    "population_moments", "rng_stream", "sample", "sample_moments",
+    "third_moment", "tk_slices", "tobi_matrix", "whiten",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import estimators
 from .asymptotics import _check_weight, avar_ae, avar_mom, c0_constant, c_lda, c_skewvec
-from .errors import (ConfigError, Error, SupervisionRequiredError,
+from .errors import (ConfigError, Error, NonFiniteError, SupervisionRequiredError,
                      SymmetryError, WeightDivergenceError)
 from .model import DataSet, MixtureParams, derive
 from .montecarlo import ExperimentConfig, chat_experiment, msi_experiment
@@ -171,9 +171,7 @@ def _cmd_estimate(args):
     # Overflow shows up as a typed error, not as loose warnings on stderr.
     with np.errstate(all="ignore"):
         est = method.run(data, args.alpha1, tol=args.tol, max_iter=args.max_iter, rng=rng)
-        mean = (data.observations.mean(axis=0) if data.whitening is None
-                else data.whitening.mean)
-        scores = (data.observations - mean) @ est.unit
+        scores = (data.observations - data.observations.mean(axis=0)) @ est.unit
     report = {
         "method": est.method,
         "n": data.n,
@@ -227,26 +225,34 @@ def _cmd_constants(args):
         p = h.shape[0]
         # A bad weight fails as without --sigma; mu2 - mu1 is h to the last bit.
         _check_weight(args.alpha1)
-        params = MixtureParams(alpha1=args.alpha1, mu1=np.zeros_like(h), mu2=h,
-                               sigma=sigma)
-        implied_tau = derive(params).tau
-        if tau is not None and abs(tau - implied_tau) > 1e-8 * max(implied_tau, 1.0):
-            raise UsageError(
-                f"--tau {tau} disagrees with h'Sigma^(-1)h = {implied_tau}")
-        tau = implied_tau
-    if tau is None:
+    elif tau is None:
         raise UsageError("--tau is required (or derivable from --sigma and --h)")
     if p is None:
         raise UsageError("--p is required (or derivable from --h)")
-    lda = c_lda(args.alpha1, tau)
-    c0 = c0_constant(args.alpha1, tau)
-    cr = c_skewvec(args.alpha1, tau, p)
     # Everything is computed before anything is printed, so that a failure
-    # leaves stdout empty.
-    covariances = {}
-    if h is not None:
-        covariances = {"TOBI/JADE3/PP": avar_ae(c0, params),
-                       "SKEWVEC": avar_ae(cr, params), "MOM": avar_mom(params)}
+    # leaves stdout empty; a value outside double range is one typed error,
+    # not a warning line, a NaN or a bare OverflowError.
+    try:
+        with np.errstate(all="ignore"):
+            if h is not None:
+                params = MixtureParams(alpha1=args.alpha1, mu1=np.zeros_like(h), mu2=h,
+                                       sigma=sigma)
+                implied_tau = derive(params).tau
+                if tau is not None and abs(tau - implied_tau) > 1e-8 * max(implied_tau, 1.0):
+                    raise UsageError(
+                        f"--tau {tau} disagrees with h'Sigma^(-1)h = {implied_tau}")
+                tau = implied_tau
+            lda = c_lda(args.alpha1, tau)
+            c0 = c0_constant(args.alpha1, tau)
+            cr = c_skewvec(args.alpha1, tau, p)
+            covariances = {} if h is None else {
+                "TOBI/JADE3/PP": avar_ae(c0, params), "SKEWVEC": avar_ae(cr, params),
+                "MOM": avar_mom(params)}
+            finite = all(np.isfinite(v).all() for v in (lda, c0, cr, *covariances.values()))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NonFiniteError("a constant or covariance leaves double range; rescale the input")
     print(f"alpha1 = {args.alpha1}, tau = {tau}, p = {p}")
     print(f"C[LDA]          = {lda}")
     print(f"C[TOBI/JADE3/PP] = {c0}")

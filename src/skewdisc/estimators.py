@@ -77,7 +77,8 @@ class Whitening:
     rows z_i = whitener @ (x_i - mean), c3 = third_moment(z) (only est_mom
     takes the raw data's), whether ||c3|| is below skewness_floor(p)
     (affine invariant, as the whitened covariance trace is p), and, built on first
-    use, tk = the T_k slices of z as one (p, p, p) array and tobi = tobi_unit(tk)."""
+    use, tk = the T_k slices of z as one (p, p, p) array and tobi = tobi_unit(tk),
+    whose DegenerateSkewnessError is kept and raised again on every later use."""
 
     mean: np.ndarray
     whitener: np.ndarray
@@ -105,7 +106,12 @@ class Whitening:
     @property
     def tobi(self):
         if self._tobi is None:
-            object.__setattr__(self, "_tobi", tobi_unit(self.tk))
+            try:
+                object.__setattr__(self, "_tobi", tobi_unit(self.tk))
+            except DegenerateSkewnessError as exc:
+                object.__setattr__(self, "_tobi", exc)
+        if isinstance(self._tobi, DegenerateSkewnessError):
+            raise self._tobi
         return self._tobi
 
 
@@ -352,9 +358,10 @@ def est_lda(data):
     cn = neg - mean_neg
     cp = pos - mean_pos
     s_w = (cn.T @ cn + cp.T @ cp) / data.n
+    s_w = (s_w + s_w.T) / 2.0
     if not np.isfinite(s_w).all():
         raise NonFiniteError("pooled covariance overflows; rescale the data")
-    root = inv_sqrt((s_w + s_w.T) / 2.0)
+    root = inv_sqrt(s_w)
     return _estimate(root @ (root @ (mean_pos - mean_neg)), LDA)
 
 

@@ -4,16 +4,14 @@ Everything here is a pure function built on numpy's symmetric
 eigensolver. The inverse square root deliberately goes through the full
 eigendecomposition (not Cholesky or a Newton iteration) so that the
 result is the unique symmetric positive definite root and so that the
-singularity floor is an explicit, testable quantity. A matrix with a nan
-or inf entry raises NonFiniteError wherever symmetry is checked.
+singularity floor is an explicit, testable quantity. The eigensolvers
+check nothing about their input: every caller passes a finite symmetric
+matrix, one it has just made so or a sigma that MixtureParams checked.
 """
 
 import numpy as np
 
-from .errors import NearSingularError, NonFiniteError, SymmetryError
-
-#: Relative symmetry tolerance used when validating inputs.
-SYMMETRY_RTOL = 1e-12
+from .errors import NearSingularError
 
 #: Relative eigenvalue floor below which a covariance counts as singular.
 SINGULARITY_RTOL = 1e-12
@@ -23,23 +21,6 @@ def _norm(a):
     # np.linalg.norm(a) of a real array, bit for bit, without its argument handling.
     v = a.ravel("K")
     return np.sqrt(v.dot(v))
-
-
-def _check_symmetric(m):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # Checked first: the comparison below is False for NaN.
-    if not np.isfinite(m).all():
-        raise NonFiniteError("matrix has non-finite entries")
-    gap = _norm(m - m.T)
-    scale = max(_norm(m), 1.0)
-    if gap > SYMMETRY_RTOL * scale:
-        raise SymmetryError(
-            f"matrix is not symmetric: asymmetry {gap:.3e} exceeds "
-            f"{SYMMETRY_RTOL:.1e} relative"
-        )
-    return m
 
 
 def _fix_sign(vectors):
@@ -56,8 +37,8 @@ def sym_eigen(m):
 
     Parameters
     ----------
-    m : array_like, shape (p, p)
-        Symmetric matrix (within 1e-12 relative).
+    m : ndarray, shape (p, p)
+        Finite symmetric matrix; only its lower triangle is read.
 
     Returns
     -------
@@ -66,7 +47,6 @@ def sym_eigen(m):
         eigenvector of values[i]. Eigenvectors are orthonormal and
         sign-fixed (largest-magnitude coordinate nonnegative).
     """
-    m = _check_symmetric(m)
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1], _fix_sign(vecs)[:, ::-1]
 
@@ -76,7 +56,8 @@ def inv_sqrt(m):
 
     Parameters
     ----------
-    m : array_like, shape (p, p)
+    m : ndarray, shape (p, p)
+        Finite symmetric matrix; only its lower triangle is read.
         Eigenvalues at or below SINGULARITY_RTOL * max(eigenvalue) raise;
         regularizing silently would make every downstream whitening
         meaningless.
@@ -92,7 +73,6 @@ def inv_sqrt(m):
     NearSingularError
         If the smallest eigenvalue is at or below the floor.
     """
-    m = _check_symmetric(m)
     vals, vecs = np.linalg.eigh(m)
     if vals[0] <= SINGULARITY_RTOL * vals[-1] or vals[-1] <= 0.0:
         raise NearSingularError(

@@ -12,11 +12,16 @@ functions shift arbitrary means internally. Second- and higher-order
 central moments do not depend on the shift.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_symmetric, commutation_matrix, inv_sqrt
+from .errors import NonFiniteError, SymmetryError
+from .linalg import commutation_matrix, inv_sqrt
+
+#: Relative symmetry tolerance for a given sigma.
+SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -26,9 +31,10 @@ class MixtureParams:
     alpha1 is the weight of component 1 and must lie in (0.5, 1); the
     perfectly symmetric case alpha1 = 0.5 is excluded because skewness
     carries no direction information there. The means must be finite.
-    sigma must be symmetric (within 1e-12 relative, else SymmetryError)
-    with strictly positive eigenvalues (else ValueError); it is kept as a
-    read-only copy.
+    sigma must be finite (else NonFiniteError) and symmetric, with
+    ||sigma - sigma'||_F <= 1e-12 max(||sigma||_F, 1) at any finite scale
+    (else SymmetryError), with strictly positive eigenvalues (else
+    ValueError); it is kept as a read-only copy.
     """
 
     alpha1: float
@@ -41,20 +47,36 @@ class MixtureParams:
             raise ValueError(f"alpha1 must be in (0.5, 1), got {self.alpha1}")
         mu1 = np.asarray(self.mu1, dtype=float)
         mu2 = np.asarray(self.mu2, dtype=float)
-        sigma = np.array(_check_symmetric(self.sigma))
+        if mu1.shape != mu2.shape or mu1.ndim != 1:
+            raise ValueError("mu1 and mu2 must be vectors of equal length")
+        if not (np.isfinite(mu1).all() and np.isfinite(mu2).all()):
+            raise ValueError("mu1 and mu2 must be finite")
+        if np.array_equal(mu1, mu2):
+            raise ValueError("mu1 and mu2 must differ (degenerate mixture)")
+        sigma = np.array(self.sigma, dtype=float)
+        if sigma.shape != (len(mu1), len(mu1)):
+            raise ValueError("sigma shape does not match the mean vectors")
+        # Checked first: the comparison below is False for NaN.
+        if not np.isfinite(sigma).all():
+            raise NonFiniteError("matrix has non-finite entries")
+        scaled = sigma
+        with np.errstate(over="ignore"):
+            scale = max(np.linalg.norm(sigma), 1.0)
+        if math.isinf(scale):
+            # Above about 1e154 the sum of squares overflows: scale sigma exactly by
+            # a power of two, which keeps the ratio of the two norms.
+            scaled = np.ldexp(sigma, -math.frexp(np.abs(sigma).max())[1])
+            scale = np.linalg.norm(scaled)
+        gap = np.linalg.norm(scaled - scaled.T)
+        if gap > SYMMETRY_RTOL * scale:
+            raise SymmetryError(
+                f"matrix is not symmetric: asymmetry {gap / scale:.3e} exceeds "
+                f"{SYMMETRY_RTOL:.1e} relative")
         smallest = np.linalg.eigvalsh(sigma)[0]
         if smallest <= 0.0:
             raise ValueError(
                 f"matrix is not positive definite: smallest eigenvalue {smallest:.3e}")
         sigma.flags.writeable = False
-        if mu1.shape != mu2.shape or mu1.ndim != 1:
-            raise ValueError("mu1 and mu2 must be vectors of equal length")
-        if not (np.isfinite(mu1).all() and np.isfinite(mu2).all()):
-            raise ValueError("mu1 and mu2 must be finite")
-        if sigma.shape != (len(mu1), len(mu1)):
-            raise ValueError("sigma shape does not match the mean vectors")
-        if np.array_equal(mu1, mu2):
-            raise ValueError("mu1 and mu2 must differ (degenerate mixture)")
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "mu2", mu2)
         object.__setattr__(self, "sigma", sigma)

@@ -6,8 +6,8 @@ chat_experiment
     Fixed Sigma = I, mean-zero mixture, h = sqrt(tau) e_1. For each cell
     (method, alpha1, tau, n) it estimates the limiting constant by
     C_hat = n * Var[t' theta_hat / ||theta_hat||] over M replicates,
-    with t a fixed unit vector orthogonal to h, and tabulates it next to
-    the theoretical constant.
+    with t = e_2, a fixed unit vector orthogonal to h, and tabulates it
+    next to the theoretical constant.
 
 msi_experiment
     Per replicate a fresh Sigma = AA' (A with i.i.d. standard normal
@@ -113,22 +113,6 @@ def rng_stream(master_seed, index):
     return np.random.default_rng(seq)
 
 
-def orth_unit(h):
-    """Deterministic unit vector orthogonal to h: Gram-Schmidt of the
-    standard basis vector least aligned with h."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or h.shape[0] < 2:
-        raise ValueError("h must be a vector of dimension at least 2")
-    nrm = _norm(h)
-    if nrm == 0.0:
-        raise ValueError("h must be nonzero")
-    j = int(np.argmin(np.abs(h)))
-    t = np.zeros(h.shape[0])
-    t[j] = 1.0
-    t -= (h[j] / nrm ** 2) * h
-    return t / _norm(t)
-
-
 def msi(u, v):
     """Maximal similarity index |u'v| / (||u|| ||v||), in [0, 1]; equals
     1 for (anti)parallel vectors."""
@@ -147,10 +131,10 @@ def _mean_zero_params(alpha1, h, sigma):
 
 
 def _chat_draw(config, alpha1, tau, rng):
-    # Sigma = I, so theta = h; t is the fixed unit vector orthogonal to h.
+    # Sigma = I, so theta = h = sqrt(tau) e_1, and t = e_2 is orthogonal to it.
     h = np.zeros(config.p)
     h[0] = math.sqrt(tau)
-    t = orth_unit(h)
+    t = np.eye(config.p)[1]
     return (_mean_zero_params(alpha1, h, np.eye(config.p)),
             lambda est: float(t @ estimators.align_sign(est, h).unit))
 

@@ -446,12 +446,27 @@ class TestConstants:
         ("1,0;0,-1", {2}, "ValueError"),
         ("1,2;2,4", {2}, "ValueError"),
         ("1,0;0,1e-300", {1}, "NearSingularError"),
-    ], ids=["asymmetric", "indefinite", "singular", "near-singular"])
+        ("1e200,5e199;0,1e200", {2}, "SymmetryError"),
+    ], ids=["asymmetric", "indefinite", "singular", "near-singular", "asymmetric-huge"])
     def test_bad_sigma_prints_nothing(self, sigma, codes, error, capsys):
         code, out, err = run_cli(
             ["constants", "--alpha1", "0.7", "--sigma", sigma, "--h", "1,0"], capsys)
         assert code in codes and out == ""
         assert len(err.splitlines()) == 1
+        assert error in (None, json.loads(err)["error"])
+
+    @pytest.mark.parametrize("sigma,h,error", [
+        ("1e200,0;0,1e200", "1e62,0", "NonFiniteError"),
+        ("1e200,0;0,1e200", "1e100,0", "NonFiniteError"),
+        ("1e250,0;0,1e250", "1e87,0", None),
+    ], ids=["nan-covariance", "python-overflow", "warning"])
+    def test_values_beyond_double_range_print_nothing(self, sigma, h, error, capsys):
+        # finite input whose covariances overflow: one typed error, never a
+        # NaN matrix, a traceback or a warning line (warnings fail the test)
+        code, out, err = run_cli(
+            ["constants", "--alpha1", "0.7", "--sigma", sigma, "--h", h], capsys)
+        assert code in {1, 2} and out == ""
+        assert len(err.splitlines()) == 1 and "nan" not in err
         assert error in (None, json.loads(err)["error"])
 
     @pytest.mark.parametrize("sigma,h,fragment", [

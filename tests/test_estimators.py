@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from skewdisc import moments
 from skewdisc.errors import (DegenerateSkewnessError, NearSingularError,
                              NonFiniteError, SupervisionRequiredError)
 from skewdisc.estimators import (DEFAULT_MAX_ITER, DEFAULT_TOL, JADE3, LDA,
@@ -370,6 +371,23 @@ class TestDegenerateInputs:
         # a second call on the same DataSet refuses too
         with pytest.raises(DegenerateSkewnessError):
             fit(data)
+
+    def test_tobi_refusal_kept_for_jade3(self, monkeypatch):
+        # JADE3 after TOBI on the same DataSet raises the kept refusal
+        # without forming the squared-slice sum again
+        calls = []
+        tobi_matrix = moments.tobi_matrix
+
+        def spy(tk):
+            calls.append(tk)
+            return tobi_matrix(tk)
+
+        monkeypatch.setattr(moments, "tobi_matrix", spy)
+        data = mirrored_dataset()
+        for fit in (est_tobi, est_jade3):
+            with pytest.raises(DegenerateSkewnessError, match="tensor is numerically zero"):
+                fit(data)
+        assert len(calls) == 1
 
     def test_skewness_floor_scaling(self):
         assert skewness_floor(1.0) == pytest.approx(1e-10)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from skewdisc.errors import NearSingularError, NonFiniteError, SymmetryError
+from skewdisc import estimators
+from skewdisc.errors import NearSingularError
 from skewdisc.linalg import (_norm, commutation_matrix, inv_sqrt, kron_sum_inverse,
                              projector_pair, sym_eigen)
+from skewdisc.model import MixtureParams, derive, sample, whitened_mixture
 
 
 def same_bits(got, want):
@@ -82,10 +84,6 @@ class TestSymEigen:
         for u in first.T:
             assert u[np.argmax(np.abs(u))] >= 0.0
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(SymmetryError):
-            sym_eigen(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
 
 class TestInvSqrt:
     def test_diagonal(self):
@@ -117,17 +115,38 @@ class TestInvSqrt:
             inv_sqrt(m)
 
 
-@pytest.mark.parametrize("fn", [sym_eigen, inv_sqrt])
-@pytest.mark.parametrize("m", [
-    np.full((2, 2), np.nan),
-    np.array([[1.0, np.nan], [np.nan, 1.0]]),
-    np.array([[np.inf, 0.0], [0.0, 1.0]]),
-    np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
-], ids=["all-nan", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal"])
-def test_non_finite_entries_rejected(fn, m):
-    # nan compares False with the symmetry tolerance, so it needs its own check
-    with pytest.raises(NonFiniteError):
-        fn(m)
+class TestCallersMeetPrecondition:
+    """sym_eigen and inv_sqrt check nothing: every caller in the package
+    hands np.linalg.eigh a finite matrix that is symmetric to the last bit."""
+
+    def test_eigh_inputs_finite_and_exactly_symmetric(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(m, *args, **kwargs):
+            seen.append(np.array(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rng = np.random.default_rng(8)
+        draws = 0
+        for p in (2, 3, 10):
+            for scale in (1e-100, 1.0, 1e100):
+                a = rng.standard_normal((p, p))
+                h = rng.standard_normal(p)
+                params = MixtureParams(alpha1=0.7, mu1=-0.3 * scale * h,
+                                       mu2=0.7 * scale * h, sigma=a @ a.T * scale ** 2)
+                derive(params)
+                whitened_mixture(params)
+                data = sample(params, 400, rng)
+                for method in estimators.METHODS.values():
+                    method.run(data, 0.7)
+                draws += 1
+        # per draw: derive, whitened_mixture's derive and C2 root, then the
+        # whitening, TOBI's eigensolve and LDA's pooled covariance root
+        assert len(seen) == 6 * draws
+        for m in seen:
+            assert np.isfinite(m).all() and np.array_equal(m, m.T)
 
 
 class TestProjectorPair:

@@ -5,7 +5,7 @@ oracle."""
 import numpy as np
 import pytest
 
-from skewdisc.errors import SymmetryError
+from skewdisc.errors import NonFiniteError, SymmetryError
 from skewdisc.linalg import commutation_matrix
 from skewdisc.model import (DataSet, MixtureParams, derive,
                             population_moments, sample, whitened_mixture)
@@ -74,9 +74,33 @@ class TestMixtureParams:
         np.testing.assert_array_equal(params.sigma, sigma)
 
     def test_rejects_asymmetric(self):
+        # the second one's Frobenius norm overflows a double
+        for mu2, sigma in (([1.0, 1.0], [[1.0, 0.2], [0.0, 1.0]]),
+                           ([1e90, 0.0], [[1e200, 5e199], [0.0, 1e200]])):
+            with pytest.raises(SymmetryError):
+                MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.array(mu2),
+                              sigma=np.array(sigma))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** 1000],
+                             ids=["1", "2^600", "2^1000"])
+    def test_symmetry_verdict_is_scale_free(self, scale):
+        # 1e-12 relative, also where the norm of sigma overflows (above 1e154)
+        sigma = np.array([[2.0, 0.5], [0.5, 1.0]]) * scale
+        nudge = np.array([[0.0, 1.0], [0.0, 0.0]]) * scale
+        MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2), sigma=sigma + 1e-13 * nudge)
         with pytest.raises(SymmetryError):
-            MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2),
-                          sigma=np.array([[1.0, 0.2], [0.0, 1.0]]))
+            MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2), sigma=sigma + 1e-11 * nudge)
+
+    @pytest.mark.parametrize("sigma", [
+        np.full((2, 2), np.nan),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+    ], ids=["all-nan", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal"])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # nan compares False with the symmetry tolerance, so it needs its own check
+        with pytest.raises(NonFiniteError):
+            MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2), sigma=sigma)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):

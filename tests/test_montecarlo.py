@@ -15,7 +15,7 @@ from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_MODES,
                                  SIGMA_RANDOM_AAT, ExperimentConfig,
                                  _chat_draw, _mean_zero_params, _msi_draw,
                                  _replicate, chat_experiment, msi_experiment,
-                                 msi, orth_unit, rng_stream)
+                                 msi, rng_stream)
 
 ALL_SIX = ("MOM", "SKEWVEC", "TOBI", "JADE3", "LDA", "PP")
 
@@ -107,42 +107,6 @@ class TestRngStream:
         a = rng_stream(1, 0).standard_normal(5)
         b = rng_stream(2, 0).standard_normal(5)
         assert np.abs(a - b).max() > 1e-8
-
-
-class TestOrthUnit:
-    def test_orthogonal_and_unit(self):
-        rng = np.random.default_rng(50)
-        for _ in range(50):
-            h = rng.standard_normal(int(rng.integers(2, 9)))
-            t = orth_unit(h)
-            assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-12)
-            assert float(t @ h) == pytest.approx(0.0, abs=1e-10)
-
-    def test_deterministic(self):
-        h = np.array([3.0, -1.0, 0.5])
-        np.testing.assert_array_equal(orth_unit(h), orth_unit(h.copy()))
-
-    def test_uses_least_aligned_axis(self):
-        t = orth_unit(np.array([5.0, 0.1, 3.0]))
-        assert t[1] > 0.99
-
-    def test_hand_examples(self):
-        np.testing.assert_allclose(orth_unit(np.array([2.0, 0.0, 0.0])),
-                                   [0.0, 1.0, 0.0], atol=1e-12)
-        s = 1.0 / np.sqrt(2.0)
-        got = orth_unit(np.array([s, s]))
-        np.testing.assert_allclose(np.abs(got), [s, s], atol=1e-12)
-        assert got[0] * got[1] < 0.0
-
-    def test_axis_input(self):
-        t = orth_unit(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(np.abs(t), [0.0, 1.0], atol=1e-12)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            orth_unit(np.zeros(3))
-        with pytest.raises(ValueError):
-            orth_unit(np.array([1.0]))
 
 
 class TestMsi:
@@ -417,7 +381,7 @@ class TestSharedWhitening:
         data = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600, rng)
         assert len(results) == len(estimators.METHODS)
         for (method, est), t_projection in zip(direct_estimates(data, rng), results):
-            want = float(orth_unit(h) @ align_sign(est, h).unit)
+            want = float(np.eye(3)[1] @ align_sign(est, h).unit)
             assert t_projection == want, method
 
     def test_msi_replicate_matches_direct_calls(self):
@@ -438,16 +402,15 @@ class TestSharedWhitening:
             assert similarity == msi(est.unit, theta), method
 
     @pytest.mark.parametrize("draw,sigma_mode,want", [
-        (_chat_draw, SIGMA_IDENTITY, {"orth_unit": 1, "align_sign": 6, "msi": 0}),
-        (_msi_draw, SIGMA_RANDOM_AAT, {"orth_unit": 0, "align_sign": 0, "msi": 6}),
+        (_chat_draw, SIGMA_IDENTITY, {"align_sign": 6, "msi": 0}),
+        (_msi_draw, SIGMA_RANDOM_AAT, {"align_sign": 0, "msi": 6}),
     ], ids=["chat", "msi"])
     def test_replicate_computes_only_its_statistic(self, monkeypatch, draw,
                                                     sigma_mode, want):
-        # a chat replicate never takes an MSI; an msi replicate neither
-        # builds t nor aligns signs
+        # a chat replicate never takes an MSI; an msi replicate never
+        # aligns signs
         calls = {}
-        for home, name in ((montecarlo, "orth_unit"), (estimators, "align_sign"),
-                           (montecarlo, "msi")):
+        for home, name in ((estimators, "align_sign"), (montecarlo, "msi")):
             count_calls(monkeypatch, calls, home, name)
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,),
                            sigma_mode=sigma_mode)
