@@ -5,13 +5,13 @@ eigensolver. The inverse square root deliberately goes through the full
 eigendecomposition (not Cholesky or a Newton iteration) so that the
 result is the unique symmetric positive definite root and so that the
 singularity floor is an explicit, testable quantity. The eigensolvers
-check nothing about their input: every caller passes a finite symmetric
-matrix, one it has just made so or a sigma that MixtureParams checked.
+check finiteness (eigh gives NaN for a nan or inf entry), not symmetry:
+each caller passes a matrix it has just symmetrised or a checked sigma.
 """
 
 import numpy as np
 
-from .errors import NearSingularError
+from .errors import NearSingularError, NonFiniteError
 
 #: Relative eigenvalue floor below which a covariance counts as singular.
 SINGULARITY_RTOL = 1e-12
@@ -38,7 +38,7 @@ def sym_eigen(m):
     Parameters
     ----------
     m : ndarray, shape (p, p)
-        Finite symmetric matrix; only its lower triangle is read.
+        Symmetric matrix, lower triangle read; nan or inf: NonFiniteError.
 
     Returns
     -------
@@ -47,6 +47,8 @@ def sym_eigen(m):
         eigenvector of values[i]. Eigenvectors are orthonormal and
         sign-fixed (largest-magnitude coordinate nonnegative).
     """
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has non-finite entries")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1], _fix_sign(vecs)[:, ::-1]
 
@@ -57,7 +59,7 @@ def inv_sqrt(m):
     Parameters
     ----------
     m : ndarray, shape (p, p)
-        Finite symmetric matrix; only its lower triangle is read.
+        Symmetric matrix, lower triangle read; nan or inf: NonFiniteError.
         Eigenvalues at or below SINGULARITY_RTOL * max(eigenvalue) raise;
         regularizing silently would make every downstream whitening
         meaningless.
@@ -73,12 +75,13 @@ def inv_sqrt(m):
     NearSingularError
         If the smallest eigenvalue is at or below the floor.
     """
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has non-finite entries")
     vals, vecs = np.linalg.eigh(m)
     if vals[0] <= SINGULARITY_RTOL * vals[-1] or vals[-1] <= 0.0:
         raise NearSingularError(
             f"covariance is numerically singular: eigenvalue range "
-            f"[{vals[0]:.3e}, {vals[-1]:.3e}], relative floor {SINGULARITY_RTOL:.1e}"
-        )
+            f"[{vals[0]:.3e}, {vals[-1]:.3e}], relative floor {SINGULARITY_RTOL:.1e}")
     root = (vecs / np.sqrt(vals)) @ vecs.T
     return (root + root.T) / 2.0
 
@@ -107,11 +110,8 @@ def commutation_matrix(p):
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    k = np.zeros((p * p, p * p))
-    for i in range(p):
-        for j in range(p):
-            k[i * p + j, j * p + i] = 1.0
-    return k
+    r = np.arange(p * p)
+    return np.eye(p * p)[r % p * p + r // p]  # row i p + j is e_(j p + i)
 
 
 def kron_sum_inverse(alpha, u):
@@ -135,6 +135,5 @@ def kron_sum_inverse(alpha, u):
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError("u must be a unit vector")
-    p = len(u)
-    b = np.eye(p) - (alpha / (alpha + 1.0)) * np.outer(u, u)
-    return (np.eye(p * p) + (alpha + 1.0) * np.kron(b, b)) / (2.0 * (alpha + 2.0))
+    b = np.eye(len(u)) - (alpha / (alpha + 1.0)) * np.outer(u, u)
+    return (np.eye(b.size) + (alpha + 1.0) * np.kron(b, b)) / (2.0 * (alpha + 2.0))

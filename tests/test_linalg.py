@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skewdisc import estimators
-from skewdisc.errors import NearSingularError
+from skewdisc.errors import NearSingularError, NonFiniteError
 from skewdisc.linalg import (_norm, commutation_matrix, inv_sqrt, kron_sum_inverse,
                              projector_pair, sym_eigen)
 from skewdisc.model import MixtureParams, derive, sample, whitened_mixture
@@ -115,9 +115,23 @@ class TestInvSqrt:
             inv_sqrt(m)
 
 
+@pytest.mark.parametrize("fn", [sym_eigen, inv_sqrt])
+@pytest.mark.parametrize("m", [
+    np.full((2, 2), np.nan),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+], ids=["all-nan", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal"])
+def test_non_finite_entries_rejected(fn, m):
+    # eigh returns nan eigenvalues for these without raising
+    with pytest.raises(NonFiniteError):
+        fn(m)
+
+
 class TestCallersMeetPrecondition:
-    """sym_eigen and inv_sqrt check nothing: every caller in the package
-    hands np.linalg.eigh a finite matrix that is symmetric to the last bit."""
+    """sym_eigen and inv_sqrt do not check symmetry: every caller in the
+    package hands np.linalg.eigh a finite matrix that is symmetric to the
+    last bit."""
 
     def test_eigh_inputs_finite_and_exactly_symmetric(self, monkeypatch):
         seen = []
