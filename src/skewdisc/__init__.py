@@ -5,7 +5,7 @@ from .asymptotics import avar_ae, avar_mom, c0_constant, c_lda, c_skewvec
 from .errors import (ConfigError, DegenerateSkewnessError, Error,
                      NearSingularError, NonFiniteError,
                      SupervisionRequiredError, SymmetryError,
-                     WeightDivergenceError)
+                     WeightDivergenceError, WorkerError)
 from .estimators import (DirectionEstimate, Whitening, align_sign, est_jade3,
                          est_lda, est_mom, est_pp, est_skewvec, est_tobi,
                          whiten)
@@ -22,7 +22,7 @@ __all__ = [
     "DirectionEstimate", "Error", "ExperimentConfig", "MixtureParams",
     "NearSingularError", "NonFiniteError", "PopulationMoments",
     "SupervisionRequiredError", "SymmetryError", "WeightDivergenceError",
-    "Whitening", "align_sign", "avar_ae", "avar_mom", "c0_constant", "c_lda",
+    "Whitening", "WorkerError", "align_sign", "avar_ae", "avar_mom", "c0_constant", "c_lda",
     "c_skewvec", "chat_experiment", "derive", "est_jade3", "est_lda",
     "est_mom", "est_pp", "est_skewvec", "est_tobi", "msi", "msi_experiment",
     "population_moments", "rng_stream", "sample", "sample_moments",

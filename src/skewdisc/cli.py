@@ -341,7 +341,7 @@ def _build_parser():
         sim = sub.add_parser(name, help=f"run the {name.split('-')[1]} experiment")
         sim.add_argument("config", help="experiment config JSON")
         sim.add_argument("out", help="output CSV path")
-        sim.add_argument("--workers", type=int, default=1, help="thread count (default 1)")
+        sim.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
         sim.set_defaults(func=_cmd_simulate)
     return parser
 

@@ -39,3 +39,7 @@ class WeightDivergenceError(Error):
 
 class ConfigError(Error):
     """An experiment configuration is invalid; the message names the field."""
+
+
+class WorkerError(Error):
+    """A simulation worker process died before returning its replicates."""

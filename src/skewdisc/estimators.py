@@ -25,6 +25,7 @@ step mean((u'z)^2 z) = T(., u, u) is the coefficient vector of JADE3's.
 METHODS, the one method table, is what the CLI and simulations dispatch through.
 """
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -85,7 +86,6 @@ class Whitening:
     whitened: np.ndarray
     c3: np.ndarray
     symmetric: bool
-    _tk: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _tobi: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def skewness(self):
@@ -95,13 +95,9 @@ class Whitening:
                 "whitened third moment is numerically zero; the sample looks symmetric")
         return self.c3
 
-    @property
+    @functools.cached_property
     def tk(self):
-        # Not functools.cached_property: before Python 3.12 it holds one
-        # lock for all instances, which would serialise worker threads.
-        if self._tk is None:
-            object.__setattr__(self, "_tk", mom.tk_slices(self.whitened))
-        return self._tk
+        return mom.tk_slices(self.whitened)
 
     @property
     def tobi(self):

@@ -16,24 +16,26 @@ msi_experiment
     similarity index per cell.
 
 Replicates are independent jobs with their own deterministic random
-stream; workers (default 1) run them on that many threads. A replicate
-reduces each method to the one number its table reads, t' theta_hat /
-||theta_hat|| or the MSI, and these reduce in replicate order, so tables
-are identical for any worker count. Replicates whose estimator fails or
-does not converge are excluded from the aggregates and counted in
-reps_failed.
+stream, run by up to workers processes (default 1), never more than the
+usable CPUs: the caller runs one share and forked workers the rest, or
+the caller all where there is no fork. A replicate reduces each method
+to the one number its table reads, t' theta_hat / ||theta_hat|| or the
+MSI, and these reduce in replicate order, so tables are identical for
+any worker count. Failed or non-converged replicates are excluded from
+the aggregates and counted in reps_failed.
 """
 
+import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimators
 from .asymptotics import TAU_LIMIT
-from .errors import ConfigError, Error, WeightDivergenceError
+from .errors import ConfigError, Error, WeightDivergenceError, WorkerError
 from .linalg import _norm
 from .model import MixtureParams, sample
 
@@ -130,23 +132,23 @@ def _mean_zero_params(alpha1, h, sigma):
     return MixtureParams(alpha1=alpha1, mu1=-alpha2 * h, mu2=alpha1 * h, sigma=sigma)
 
 
-def _chat_draw(config, alpha1, tau, rng):
+@functools.lru_cache(maxsize=1)
+def _chat_draw_cell(p, alpha1, tau):
     # Sigma = I, so theta = h = sqrt(tau) e_1, and t = e_2 is orthogonal to it.
-    h = np.zeros(config.p)
-    h[0] = math.sqrt(tau)
-    t = np.eye(config.p)[1]
-    return (_mean_zero_params(alpha1, h, np.eye(config.p)),
-            lambda est: float(t @ estimators.align_sign(est, h).unit))
+    # Jobs run in cell order, so one entry serves every replicate of a cell.
+    h = math.sqrt(tau) * np.eye(p)[0]
+    return (_mean_zero_params(alpha1, h, np.eye(p)),
+            lambda est: float(estimators.align_sign(est, h).unit[1]))
+
+
+def _chat_draw(config, alpha1, tau, rng):
+    return _chat_draw_cell(config.p, alpha1, tau)
 
 
 def _msi_draw(config, alpha1, tau, rng):
     p = config.p
-    if config.sigma_mode == SIGMA_RANDOM_AAT:
-        a = rng.standard_normal((p, p))
-        sigma = a @ a.T
-    else:
-        a = np.eye(p)
-        sigma = a
+    a = rng.standard_normal((p, p)) if config.sigma_mode == SIGMA_RANDOM_AAT else np.eye(p)
+    sigma = a @ a.T
     direction = rng.standard_normal(p)
     direction /= _norm(direction)
     # The replicate is the image under x -> A x of a canonical mixture
@@ -176,6 +178,10 @@ def _replicate(config, draw, cell_index, cell, rep_index):
     return out
 
 
+def _share(config, draw, jobs):
+    return [_replicate(config, draw, *job) for job in jobs]
+
+
 def _rows(config, draw, workers, summary):
     """Run every replicate of every cell and reduce them to one row per
     (method, cell), sorted by (method, alpha1, tau, n). summary(method,
@@ -185,11 +191,23 @@ def _rows(config, draw, workers, summary):
     jobs = [(ci, cell, m)
             for ci, cell in enumerate(config.cells)
             for m in range(config.reps)]
-    if workers == 1:
-        batches = [_replicate(config, draw, *job) for job in jobs]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = min(workers, len(jobs), cpus or 1) if hasattr(os, "fork") else 1
+    if k == 1:
+        batches = _share(config, draw, jobs)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda job: _replicate(config, draw, *job), jobs))
+        # Imported here: the process pool costs every CLI start-up tens of ms.
+        import multiprocessing as mp
+        from concurrent.futures import process
+        # Job i goes to share i mod k, which spreads the costly replicates. The
+        # caller runs share 0, so a tracer installed in it sees every layer.
+        try:
+            with process.ProcessPoolExecutor(k - 1, mp_context=mp.get_context("fork")) as pool:
+                futures = [pool.submit(_share, config, draw, jobs[s::k]) for s in range(1, k)]
+                shares = [_share(config, draw, jobs[::k])] + [f.result() for f in futures]
+        except process.BrokenProcessPool as exc:
+            raise WorkerError(f"a simulation worker process died: {exc}") from None
+        batches = [shares[i % k][i // k] for i in range(len(jobs))]
     rows = []
     # Jobs run in cell order, reps jobs per cell.
     for ci, cell in enumerate(config.cells):
@@ -216,9 +234,7 @@ def chat_experiment(config, workers=1):
 
     def summary(method, cell, used):
         alpha1, tau, n = cell
-        c_hat = None
-        if len(used) >= 2:
-            c_hat = float(n * np.var(used, ddof=1))
+        c_hat = float(n * np.var(used, ddof=1)) if len(used) >= 2 else None
         constant = estimators.METHODS[method].constant
         try:
             c_theory = None if constant is None else constant(alpha1, tau, config.p)

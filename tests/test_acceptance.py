@@ -289,4 +289,4 @@ def test_criterion_8_byte_identical_parallel_runs(capsys, tmp_path):
     ok = same and all(len(outputs[k]) > 0 for k in outputs)
     report(capsys, 8, ok,
            "simulate-chat and simulate-msi byte-identical across reruns "
-           f"and 1 vs 8 worker threads: {same}")
+           f"and 1 vs 8 workers: {same}")

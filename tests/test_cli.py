@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from skewdisc.cli import CHAT_COLUMNS, MSI_COLUMNS, CsvFormatError, load_csv, main
-from skewdisc import cli, estimators
+from skewdisc import cli, estimators, montecarlo
 from skewdisc.errors import Error
 from skewdisc.model import DataSet, MixtureParams, sample
 from skewdisc.montecarlo import msi
@@ -557,6 +558,29 @@ class TestSimulate:
         assert run_cli(["simulate-chat", cfg, str(b), "--workers", "2"],
                        capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs to start a worker")
+    def test_dead_worker_is_one_typed_error(self, tmp_path, capsys, monkeypatch):
+        # a worker killed mid-run (out of memory, a signal) ends the run
+        # with exit 1 and one JSON line, and leaves no process behind
+        pid = os.getpid()
+        replicate = montecarlo._replicate
+
+        def dies_in_worker(*args):
+            if os.getpid() != pid:
+                os._exit(3)
+            return replicate(*args)
+
+        monkeypatch.setattr(montecarlo, "_replicate", dies_in_worker)
+        cfg = write_config(tmp_path / "cfg.json")
+        out_csv = tmp_path / "msi.csv"
+        code, out, err = run_cli(["simulate-msi", cfg, str(out_csv), "--workers", "2"],
+                                 capsys)
+        assert code == 1 and out == "" and not out_csv.exists()
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "WorkerError"
+        assert multiprocessing.active_children() == []
 
     def test_minimal_config_single_row(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", methods=["TOBI"], reps=10)

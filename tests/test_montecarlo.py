@@ -1,8 +1,11 @@
 """Simulation harness: config validation, deterministic replication,
 aggregation and the two experiment protocols."""
 
+import concurrent.futures.process
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -307,6 +310,91 @@ class TestMsiExperiment:
         by_method = {r["method"]: r["mean_msi"] for r in msi_experiment(cfg)}
         assert by_method["LDA"] >= by_method["TOBI"]
         assert by_method["LDA"] >= by_method["SKEWVEC"]
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and runs each submitted share inline, starting no process."""
+
+    asked = []
+
+    def __init__(self, max_workers, mp_context=None):
+        InlinePool.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    InlinePool.asked = []
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                    reason="needs two usable CPUs to start a worker")
+
+
+class TestWorkerProcesses:
+    def test_worker_count_capped_by_usable_cpus(self, inline_pool):
+        cfg = small_config(p=3, sigma_mode=SIGMA_RANDOM_AAT, reps=6,
+                           methods=("TOBI", "SKEWVEC"))
+        assert msi_experiment(cfg, workers=10**6) == msi_experiment(cfg, workers=1)
+        assert max(inline_pool.asked, default=0) <= len(os.sched_getaffinity(0)) - 1
+
+    @needs_two_cpus
+    def test_no_process_left_after_run(self):
+        cfg = small_config(reps=6)
+        assert chat_experiment(cfg, workers=2) == chat_experiment(cfg, workers=1)
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_no_process_left_when_caller_share_raises(self, monkeypatch):
+        pid = os.getpid()
+        replicate = montecarlo._replicate
+
+        def fails_in_caller(*args):
+            if os.getpid() == pid:
+                raise RuntimeError("replicate failed")
+            return replicate(*args)
+
+        monkeypatch.setattr(montecarlo, "_replicate", fails_in_caller)
+        with pytest.raises(RuntimeError, match="replicate failed"):
+            chat_experiment(small_config(reps=6), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_serial_where_fork_missing(self, monkeypatch, inline_pool):
+        cfg = small_config(p=3, sigma_mode=SIGMA_RANDOM_AAT, reps=6,
+                           methods=("TOBI", "SKEWVEC"))
+        want = msi_experiment(cfg, workers=1)
+        monkeypatch.delattr(os, "fork")
+        assert msi_experiment(cfg, workers=2) == want
+        assert inline_pool.asked == []
+
+    def test_chat_mixture_built_once_per_cell(self, monkeypatch):
+        built = []
+
+        class CountedParams(model.MixtureParams):
+            def __post_init__(self):
+                built.append(self.alpha1)
+                super().__post_init__()
+
+        montecarlo._chat_draw_cell.cache_clear()
+        monkeypatch.setattr(montecarlo, "MixtureParams", CountedParams)
+        try:
+            chat_experiment(small_config(alpha_grid=(0.6, 0.7), reps=5), workers=1)
+        finally:
+            montecarlo._chat_draw_cell.cache_clear()
+        assert built == [0.6, 0.7]
 
 
 def count_calls(monkeypatch, calls, home, name):
