@@ -22,9 +22,9 @@ __all__ = [
     "DirectionEstimate", "Error", "ExperimentConfig", "MixtureParams",
     "NearSingularError", "NonFiniteError", "PopulationMoments",
     "SupervisionRequiredError", "SymmetryError", "WeightDivergenceError",
-    "Whitening", "WorkerError", "align_sign", "avar_ae", "avar_mom", "c0_constant", "c_lda",
-    "c_skewvec", "chat_experiment", "derive", "est_jade3", "est_lda",
-    "est_mom", "est_pp", "est_skewvec", "est_tobi", "msi", "msi_experiment",
-    "population_moments", "rng_stream", "sample", "sample_moments",
-    "third_moment", "tk_slices", "tobi_matrix", "whiten",
+    "Whitening", "WorkerError", "align_sign", "avar_ae", "avar_mom",
+    "c0_constant", "c_lda", "c_skewvec", "chat_experiment", "derive",
+    "est_jade3", "est_lda", "est_mom", "est_pp", "est_skewvec", "est_tobi",
+    "msi", "msi_experiment", "population_moments", "rng_stream", "sample",
+    "sample_moments", "third_moment", "tk_slices", "tobi_matrix", "whiten",
 ]
