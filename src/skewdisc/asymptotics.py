@@ -6,7 +6,8 @@ Q_theta the projector onto the orthogonal complement of theta; the
 estimators differ only through the scalar C. The method-of-moments
 estimator is not affine equivariant and carries its own two-term
 covariance. avar_ae and avar_mom return the covariance matrix of
-sqrt(n) * (normalized estimate - target) as a plain ndarray.
+sqrt(n) * (normalized estimate - target) as a plain ndarray; a Sigma
+too close to singular to whiten raises NearSingularError.
 
 Scalar constants
 ----------------
@@ -19,7 +20,7 @@ c_lda       : the supervised baseline, a lower bound for all of them.
 import numpy as np
 
 from .errors import WeightDivergenceError
-from .linalg import projector_pair
+from .linalg import inv_sqrt, projector_pair
 from .model import derive
 
 #: Constants are refused closer to the boundary than this: 1 - 4*beta
@@ -93,9 +94,9 @@ def avar_ae(constant_c, params):
         raise ValueError(f"constant_c must be positive, got {constant_c}")
     d = derive(params)
     _, q = projector_pair(d.theta)
-    sigma_inv = np.linalg.inv(params.sigma)
+    root = inv_sqrt(params.sigma)  # Sigma^{-1} = root^2; refuses a near-singular Sigma
     theta_sq = float(d.theta @ d.theta)
-    cov = constant_c * (d.tau / theta_sq) * (q @ sigma_inv @ q)
+    cov = constant_c * (d.tau / theta_sq) * (q @ (root @ root) @ q)
     return (cov + cov.T) / 2.0
 
 
@@ -123,8 +124,8 @@ def avar_mom(params):
           + 4.0 * beta * float(h @ sigma @ h)
           + beta * one_4b * h_sq ** 2)
     _, q = projector_pair(d.theta)
-    sigma_inv = np.linalg.inv(sigma)
-    first = (w1 * w2 - d.tau * (1.0 + beta * d.tau) / theta_sq) * (q @ sigma_inv @ q)
+    root = inv_sqrt(sigma)  # Sigma^{-1} = root^2; refuses a near-singular Sigma
+    first = (w1 * w2 - d.tau * (1.0 + beta * d.tau) / theta_sq) * (q @ (root @ root) @ q)
     second = 4.0 * w1 * (q @ d.c2 @ q)
     cov = first + second
     return (cov + cov.T) / 2.0

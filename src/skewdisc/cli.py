@@ -172,12 +172,14 @@ def _cmd_estimate(args):
     with np.errstate(all="ignore"):
         est = method.run(data, args.alpha1, tol=args.tol, max_iter=args.max_iter, rng=rng)
         scores = (data.observations - data.observations.mean(axis=0)) @ est.unit
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("a score (x - mean)'unit leaves double range; rescale the data")
     report = {
         "method": est.method,
         "n": data.n,
         "p": data.p,
         "unit": est.unit.tolist(),
-        "raw_norm": float(np.linalg.norm(est.raw)),
+        "raw_norm": est.raw_norm,
         "converged": est.converged,
         "iterations": est.iterations,
         "notes": list(est.notes),

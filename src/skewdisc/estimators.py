@@ -23,19 +23,21 @@ data. The record caches T (Whitening.tk) and the TOBI pair (Whitening.tobi)
 that JADE3 starts from. JADE3 and PP share one fixed-point loop on T: PP's
 step mean((u'z)^2 z) = T(., u, u) is the coefficient vector of JADE3's.
 METHODS, the one method table, is what the CLI and simulations dispatch through.
+Every method works on the data times 2^-e, e = linalg._exponent(x) (of x - mean
+for MOM), so unit is the same bits at any power-of-two scale of the data.
 """
 
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import moments as mom
 from .asymptotics import c0_constant, c_lda, c_skewvec
 from .errors import DegenerateSkewnessError, NonFiniteError, SupervisionRequiredError
-from .linalg import _norm, inv_sqrt, sym_eigen
+from .linalg import _exponent, _norm, inv_sqrt, sym_eigen
 
 MOM = "MOM"
 SKEWVEC = "SKEWVEC"
@@ -49,8 +51,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 _MAX_RESTARTS = 5
 _UNDERFLOW = 1e-300
-# Below this norm, the unscaled norm sums subnormal squares and loses digits.
-_TINY_NORM = 2.0 ** -511
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class DirectionEstimate:
     """An estimated direction with its diagnostics.
 
     raw is the estimator's native output (carrying its Fisher-consistency
-    scale), unit the normalized direction. For non-iterative methods
+    scale), unit the normalized direction, raw_norm ||raw|| taken before raw
+    was scaled back into the data's units. For non-iterative methods
     converged is True and iterations 0. notes carries warnings such as a
     tied leading eigenvalue.
     """
@@ -69,19 +70,20 @@ class DirectionEstimate:
     converged: bool
     iterations: int
     notes: tuple = ()
+    raw_norm: float = None
 
 
 @dataclass(frozen=True)
 class Whitening:
-    """Centering, whitening and third moments of one dataset: sample mean,
-    whitener = C2^{-1/2} of the sample covariance (divisor n), whitened
-    rows z_i = whitener @ (x_i - mean), c3 = third_moment(z) (only est_mom
-    takes the raw data's), whether ||c3|| is below skewness_floor(p)
-    (affine invariant, as the whitened covariance trace is p), and, built on first
-    use, tk = the T_k slices of z as one (p, p, p) array and tobi = tobi_unit(tk),
+    """Whitening and third moments of one dataset x, taken on y = x 2^-exponent:
+    whitener = C2^{-1/2} of the sample covariance of y (divisor n), whitened
+    rows z_i = whitener @ (y_i - mean(y)), c3 = third_moment(z) (only est_mom
+    takes the raw data's), whether ||c3|| is below skewness_floor(p) (affine
+    invariant, as the whitened covariance trace is p), and, built on first use,
+    tk = the T_k slices of z as one (p, p, p) array and tobi = tobi_unit(tk),
     whose DegenerateSkewnessError is kept and raised again on every later use."""
 
-    mean: np.ndarray
+    exponent: int
     whitener: np.ndarray
     whitened: np.ndarray
     c3: np.ndarray
@@ -111,16 +113,17 @@ class Whitening:
         return self._tobi
 
 
-def _estimate(raw, method, converged=True, iterations=0, notes=()):
+def _estimate(raw, e, method, converged=True, iterations=0, notes=()):
+    # raw is 2^e times the data's direction; its norm times 2^-e must be a normal double.
     nrm = _norm(raw)
     if nrm == 0.0:
         raise DegenerateSkewnessError(f"{method} produced a zero direction")
-    if not math.isfinite(nrm) or nrm < _TINY_NORM:
+    if not (math.isfinite(nrm) and -1021 <= math.frexp(nrm)[1] - e <= 1024):
         raise NonFiniteError(
             f"{method} produced a direction outside double range; rescale the data")
-    return DirectionEstimate(raw=raw, unit=raw / nrm, method=method,
+    return DirectionEstimate(raw=np.ldexp(raw, -e), unit=raw / nrm, method=method,
                              converged=converged, iterations=iterations,
-                             notes=tuple(notes))
+                             notes=tuple(notes), raw_norm=math.ldexp(nrm, -e))
 
 
 def skewness_floor(c2_trace):
@@ -132,25 +135,27 @@ def skewness_floor(c2_trace):
 
 
 def whiten(data):
-    """Center and whiten a dataset by the inverse square root of its
-    sample covariance (divisor n), and take the third moments of the
-    whitened rows. The record is built once per DataSet and kept on it,
-    so its observations must not be modified in place afterwards.
+    """Center and whiten a dataset, scaled as Whitening states, by the
+    inverse square root of its sample covariance (divisor n), and take the
+    third moments of the whitened rows. The record is built once per
+    DataSet and kept on it; its observations must not change afterwards.
 
     Raises
     ------
     NearSingularError
         If the sample covariance is numerically singular.
-    NonFiniteError
-        If the sample covariance overflows.
     """
     if data.whitening is None:
-        mean, c2 = mom.sample_moments(data.observations)
+        e = _exponent(data.observations)
+        x = np.ldexp(data.observations, -e)
+        mean, c2 = mom.sample_moments(x)
         whitener = inv_sqrt(c2)
-        z = (data.observations - mean) @ whitener
+        x -= mean
+        z = x @ whitener
+        del x  # before third_moment's n x p temporary
         c3 = mom.third_moment(z)
         object.__setattr__(data, "whitening", Whitening(
-            mean=mean, whitener=whitener, whitened=z, c3=c3,
+            exponent=e, whitener=whitener, whitened=z, c3=c3,
             symmetric=bool(_norm(c3) < skewness_floor(float(data.p)))))
     return data.whitening
 
@@ -179,10 +184,6 @@ def mom_direction(c2, c3, alpha1):
 def est_mom(data, alpha1):
     """Method-of-moments estimate; requires the true weight alpha1.
 
-    The moments are taken of the centred data scaled exactly by the power
-    of two 2^-e that brings their largest magnitude into [0.5, 1), so c3 c3'
-    neither overflows nor underflows; theta is the direction found times 2^-e.
-
     Raises
     ------
     DegenerateSkewnessError
@@ -190,11 +191,11 @@ def est_mom(data, alpha1):
     numpy.linalg.LinAlgError
         If the inner matrix is singular.
     NonFiniteError
-        If the covariance overflows or the direction leaves double range.
+        If the direction leaves double range.
     """
     x = data.observations
     xc = x - x.mean(axis=0)
-    _, e = math.frexp(float(np.abs(xc).max()))
+    e = _exponent(xc)
     xc = np.ldexp(xc, -e)
     c2 = mom.second_moment(xc)
     c3 = mom.third_moment(xc)
@@ -202,7 +203,7 @@ def est_mom(data, alpha1):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
         )
-    return _estimate(np.ldexp(mom_direction(c2, c3, alpha1), -e), MOM)
+    return _estimate(mom_direction(c2, c3, alpha1), e, MOM)
 
 
 def skewvec_direction(whitener, c3_whitened):
@@ -220,7 +221,7 @@ def est_skewvec(data):
         If the whitened third moment is below the degeneracy floor.
     """
     wh = whiten(data)
-    return _estimate(skewvec_direction(wh.whitener, wh.skewness()), SKEWVEC)
+    return _estimate(skewvec_direction(wh.whitener, wh.skewness()), wh.exponent, SKEWVEC)
 
 
 def tobi_unit(tk):
@@ -252,7 +253,7 @@ def est_tobi(data):
     wh = whiten(data)
     u, ambiguous = wh.tobi
     notes = ("ambiguous leading eigenvalue",) if ambiguous else ()
-    return _estimate(wh.whitener @ u, TOBI, notes=notes)
+    return _estimate(wh.whitener @ u, wh.exponent, TOBI, notes=notes)
 
 
 def _fixed_point(tk, step, init, tol, max_iter, rng):
@@ -322,7 +323,7 @@ def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     notes = ("ambiguous leading eigenvalue in init",) if ambiguous else ()
     u, converged, iterations, jade_notes = jade3_unit(
         wh.tk, init, tol=tol, max_iter=max_iter, rng=rng)
-    return _estimate(wh.whitener @ u, JADE3, converged=converged,
+    return _estimate(wh.whitener @ u, wh.exponent, JADE3, converged=converged,
                      iterations=iterations, notes=notes + jade_notes)
 
 
@@ -339,14 +340,11 @@ def est_lda(data):
         If either class occupies fewer than 2 rows.
     NearSingularError
         If the pooled covariance is numerically singular.
-    NonFiniteError
-        If the pooled covariance overflows.
     """
     if data.labels is None:
         raise SupervisionRequiredError("LDA needs labeled data")
-    x = data.observations
-    neg = x[data.labels == -1]
-    pos = x[data.labels == 1]
+    e = _exponent(data.observations)
+    neg, pos = (np.ldexp(data.observations[data.labels == s], -e) for s in (-1, 1))
     if len(neg) < 2 or len(pos) < 2:
         raise ValueError("each class must occupy at least 2 rows")
     mean_neg = neg.mean(axis=0)
@@ -355,10 +353,8 @@ def est_lda(data):
     cp = pos - mean_pos
     s_w = (cn.T @ cn + cp.T @ cp) / data.n
     s_w = (s_w + s_w.T) / 2.0
-    if not np.isfinite(s_w).all():
-        raise NonFiniteError("pooled covariance overflows; rescale the data")
     root = inv_sqrt(s_w)
-    return _estimate(root @ (root @ (mean_pos - mean_neg)), LDA)
+    return _estimate(root @ (root @ (mean_pos - mean_neg)), e, LDA)
 
 
 def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
@@ -378,7 +374,7 @@ def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
     c3 = wh.skewness()
     u, converged, iterations, notes = _fixed_point(
         wh.tk, lambda tu, coef: (coef, None), c3, tol, max_iter, rng)
-    return _estimate(wh.whitener @ u, PP, converged=converged,
+    return _estimate(wh.whitener @ u, wh.exponent, PP, converged=converged,
                      iterations=iterations, notes=notes)
 
 
@@ -390,8 +386,7 @@ def align_sign(est, reference):
     if _norm(reference) == 0.0:
         raise ValueError("sign reference must be nonzero")
     if float(est.unit @ reference) < 0.0:
-        return DirectionEstimate(-est.raw, -est.unit, est.method, est.converged,
-                                 est.iterations, est.notes)
+        return replace(est, raw=-est.raw, unit=-est.unit)
     return est
 
 

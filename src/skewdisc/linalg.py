@@ -23,6 +23,11 @@ def _norm(a):
     return np.sqrt(v.dot(v))
 
 
+def _exponent(a):
+    # The one power-of-two scale e, 0 for a zero a: a * 2^-e peaks in [0.5, 1).
+    return int(np.frexp(np.abs(a).max())[1])
+
+
 def _fix_sign(vectors):
     # Sign convention: the first coordinate of largest absolute value is
     # made nonnegative, so repeated decompositions are bitwise stable.
@@ -87,7 +92,8 @@ def inv_sqrt(m):
 
 
 def projector_pair(v):
-    """Orthogonal projectors onto span(v) and its complement.
+    """Orthogonal projectors onto span(v) and its complement. A zero v raises
+    ValueError, a nonzero v whose squared norm underflows NonFiniteError.
 
     Returns
     -------
@@ -95,9 +101,11 @@ def projector_pair(v):
         P = v v' / ||v||^2 and Q = I - P.
     """
     v = np.asarray(v, dtype=float)
-    nrm2 = float(v @ v)
-    if nrm2 == 0.0:
+    if not v.any():
         raise ValueError("cannot project onto the zero vector")
+    nrm2 = float(v @ v)
+    if nrm2 < np.finfo(float).tiny:
+        raise NonFiniteError("the squared norm of the vector underflows; rescale it")
     p_mat = np.outer(v, v) / nrm2
     return p_mat, np.eye(len(v)) - p_mat
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, SymmetryError
-from .linalg import commutation_matrix, inv_sqrt
+from .linalg import _exponent, commutation_matrix, inv_sqrt
 
 #: Relative symmetry tolerance for a given sigma.
 SYMMETRY_RTOL = 1e-12
@@ -65,7 +65,7 @@ class MixtureParams:
         if math.isinf(scale):
             # Above about 1e154 the sum of squares overflows: scale sigma exactly by
             # a power of two, which keeps the ratio of the two norms.
-            scaled = np.ldexp(sigma, -math.frexp(np.abs(sigma).max())[1])
+            scaled = np.ldexp(sigma, -_exponent(sigma))
             scale = np.linalg.norm(scaled)
         gap = np.linalg.norm(scaled - scaled.T)
         if gap > SYMMETRY_RTOL * scale:
@@ -97,8 +97,6 @@ class DerivedParams:
     gamma  alpha1 - alpha2
     delta  (1 + beta tau)^{-1/2}
     c2     Sigma + beta h h', the covariance of x
-    m      Sigma^{-1/2} h
-    w      m / ||m||
     """
 
     h: np.ndarray
@@ -108,8 +106,6 @@ class DerivedParams:
     gamma: float
     delta: float
     c2: np.ndarray
-    w: np.ndarray
-    m: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -176,11 +172,8 @@ def derive(params):
     beta = params.alpha1 * alpha2
     gamma = params.alpha1 - alpha2
     delta = (1.0 + beta * tau) ** -0.5
-    m = inv_sqrt(params.sigma) @ h
-    w = m / np.linalg.norm(m)
     return DerivedParams(h=h, theta=theta, tau=tau, beta=beta, gamma=gamma,
-                         delta=delta, c2=params.sigma + beta * np.outer(h, h),
-                         w=w, m=m)
+                         delta=delta, c2=params.sigma + beta * np.outer(h, h))
 
 
 def sample(params, n, rng):

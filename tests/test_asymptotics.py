@@ -9,7 +9,7 @@ import pytest
 
 from skewdisc.asymptotics import (WEIGHT_MARGIN, avar_ae, avar_mom, c0_constant,
                                   c_lda, c_skewvec)
-from skewdisc.errors import WeightDivergenceError
+from skewdisc.errors import NearSingularError, WeightDivergenceError
 from skewdisc.linalg import projector_pair
 from skewdisc.model import MixtureParams, derive
 
@@ -198,3 +198,15 @@ class TestAvarMom:
             avar_mom(MixtureParams(alpha1=0.5 + 1e-9,
                                    mu1=np.zeros(2), mu2=np.ones(2),
                                    sigma=np.eye(2)))
+
+
+def test_near_singular_sigma_refused_where_it_is_inverted():
+    # derive only solves for theta; the limiting covariances invert Sigma and
+    # refuse one that inv_sqrt would refuse, while MixtureParams accepts it
+    params = MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.array([1.0, 0.0]),
+                           sigma=np.diag([1.0, 1e-300]))
+    assert derive(params).tau == 1.0
+    with pytest.raises(NearSingularError):
+        avar_ae(c0_constant(0.7, 1.0), params)
+    with pytest.raises(NearSingularError):
+        avar_mom(params)

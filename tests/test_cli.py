@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -252,11 +253,32 @@ class TestEstimate:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["mom", "skewvec", "tobi", "jade3", "lda", "pp"])
     def test_overflowing_moments(self, tmp_path, capsys, method):
-        # finite values whose squares overflow: a typed failure, never a
-        # NaN report with exit 0, and no warning besides the one JSON line
+        # finite values at 2^531 (about 1e160), whose unscaled squares
+        # overflow: the estimate is taken on the data scaled by a power of
+        # two, so its unit is the unit-scale report's to the last bit, and
+        # no warning is printed
         rng = np.random.default_rng(63)
         data = sample(mixture_params(), 300, rng)
-        huge = type(data)(data.observations * 1e160, labels=data.labels)
+        huge = type(data)(np.ldexp(data.observations, 531), labels=data.labels)
+        reports = []
+        for name, ds in (("unit", data), ("huge", huge)):
+            path = write_dataset(tmp_path / f"{name}.csv", ds, with_labels=True)
+            argv = ["estimate", path, "--method", method]
+            if method == "mom":
+                argv += ["--alpha1", "0.7"]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0 and err == ""
+            reports.append(json.loads(out))
+        assert reports[1]["unit"] == reports[0]["unit"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["mom", "skewvec", "tobi", "jade3", "lda", "pp"])
+    def test_scores_beyond_double_range(self, tmp_path, capsys, method):
+        # values around +-1.5e308: the report's scores (x - mean)'unit leave
+        # double range, so it is refused, never printed with NaN or Infinity
+        data = sample(mixture_params(), 300, np.random.default_rng(64))
+        offset = np.where(np.arange(data.p) % 2, -1.5e308, 1.5e308)
+        huge = type(data)(offset + 1e300 * data.observations, labels=data.labels)
         path = write_dataset(tmp_path / "huge.csv", huge, with_labels=True)
         argv = ["estimate", path, "--method", method]
         if method == "mom":
@@ -265,6 +287,31 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert stderr_payload(err)["error"] == "NonFiniteError"
+
+    @pytest.mark.parametrize("e", [-600, 600, 1000])
+    @pytest.mark.parametrize("method", ["mom", "skewvec", "tobi", "jade3", "lda", "pp"])
+    def test_report_at_any_power_of_two_scale(self, tmp_path, capsys, method, e):
+        # the README's sample times 2^e gives the unit-scale report, with
+        # scores times 2^e and raw_norm times 2^-e, all exactly
+        params = MixtureParams(alpha1=0.7, mu1=np.array([-0.6, 0.0, 0.0]),
+                               mu2=np.array([1.4, 0.0, 0.0]), sigma=np.eye(3))
+        data = sample(params, 5000, np.random.default_rng(7))
+        reports = []
+        for name, x in (("unit", data.observations), ("scaled", np.ldexp(data.observations, e))):
+            path = write_dataset(tmp_path / f"{name}.csv", DataSet(x, labels=data.labels),
+                                 with_labels=True)
+            argv = ["estimate", path, "--method", method, "--seed", "1"]
+            if method == "mom":
+                argv += ["--alpha1", "0.7"]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            reports.append(json.loads(out))
+        want, got = reports
+        assert got["raw_norm"] == math.ldexp(want["raw_norm"], -e)
+        assert got["scores"] == [math.ldexp(s, e) for s in want["scores"]]
+        for key in ("raw_norm", "scores"):
+            del want[key], got[key]
+        assert got == want
 
     def test_report_layout(self, sample_csv, capsys):
         # one key per line, arrays inline
@@ -459,7 +506,7 @@ class TestConstants:
     @pytest.mark.parametrize("sigma,h,error", [
         ("1e200,0;0,1e200", "1e62,0", "NonFiniteError"),
         ("1e200,0;0,1e200", "1e100,0", "NonFiniteError"),
-        ("1e250,0;0,1e250", "1e87,0", None),
+        ("1e250,0;0,1e250", "1e87,0", "NonFiniteError"),
     ], ids=["nan-covariance", "python-overflow", "warning"])
     def test_values_beyond_double_range_print_nothing(self, sigma, h, error, capsys):
         # finite input whose covariances overflow: one typed error, never a

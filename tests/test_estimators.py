@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewdisc import moments
 from skewdisc.errors import (DegenerateSkewnessError, NearSingularError,
@@ -396,21 +398,18 @@ class TestDegenerateInputs:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-150, 1e120, 1e160])
     def test_overflow_is_typed(self, scale):
-        # finite data whose moments leave double range: NonFiniteError,
-        # never a NaN direction or a bare OverflowError. MOM takes its
-        # moments of the data rescaled by a power of two, so it answers
-        # wherever its direction, about 1/scale, can be normalised.
+        # finite data whose unscaled moments leave double range: every
+        # method takes its moments of the data rescaled by a power of two,
+        # so it answers with the unit-scale unit, up to the rounding of
+        # data * scale, never with NaN or a bare OverflowError
         ds = sample(reference_params(), 200, np.random.default_rng(46))
         huge = DataSet(ds.observations * scale, labels=ds.labels)
-        if scale < 1e150:
-            np.testing.assert_allclose(est_mom(huge, 0.7).unit, est_mom(ds, 0.7).unit,
+        np.testing.assert_allclose(est_mom(huge, 0.7).unit, est_mom(ds, 0.7).unit,
+                                   rtol=0.0, atol=1e-14)
+        for fit in (est_skewvec, est_tobi, est_jade3, est_lda, est_pp):
+            np.testing.assert_allclose(fit(DataSet(huge.observations, labels=huge.labels)).unit,
+                                       fit(DataSet(ds.observations, labels=ds.labels)).unit,
                                        rtol=0.0, atol=1e-14)
-        else:
-            with pytest.raises(NonFiniteError):
-                est_mom(huge, 0.7)
-            for fit in (est_skewvec, est_tobi, est_jade3, est_lda, est_pp):
-                with pytest.raises(NonFiniteError):
-                    fit(DataSet(huge.observations, labels=huge.labels))
 
     @pytest.mark.parametrize("k", range(-140, 141, 20))
     def test_mom_answers_at_any_scale(self, k):
@@ -531,3 +530,58 @@ class TestAlignSign:
         before = est.unit.copy()
         align_sign(est, -before)
         np.testing.assert_array_equal(est.unit, before)
+
+
+def scale_range(x):
+    """The exponents e for which every nonzero entry of x and of its centred
+    copy x - mean, times 2^e, lies within [2^-1000, 2^1000] in magnitude."""
+    a = np.abs(np.concatenate([x.ravel(), (x - x.mean(axis=0)).ravel()]))
+    a = a[a > 0]
+    return -999 - math.frexp(a.min())[1], 1000 - math.frexp(a.max())[1]
+
+
+def scaled_fits(params, ds, e):
+    """(estimate on ds, estimate on ds times 2^e) for every method."""
+    scaled = DataSet(np.ldexp(ds.observations, e), labels=ds.labels)
+    for tag, method in METHODS.items():
+        yield tag, *(method.run(data, params.alpha1, rng=np.random.default_rng(1))
+                     for data in (ds, scaled))
+
+
+class TestPowerOfTwoScale:
+    """Every method estimates on the data times 2^-e, an exact power of two,
+    so the unit is the same bits at any power-of-two scale of the data, and
+    raw and raw_norm scale back exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 3), draw=st.data())
+    def test_unit_is_the_same_bits_at_every_power_of_two(self, seed, draw):
+        params = reference_params() if seed % 2 else skewed_params()
+        ds = sample(params, 300, np.random.default_rng(900 + seed))
+        lo, hi = scale_range(ds.observations)
+        e = draw.draw(st.sampled_from((lo, hi)) | st.integers(lo, hi), label="e")
+        for tag, want, got in scaled_fits(params, ds, e):
+            np.testing.assert_array_equal(got.unit, want.unit, err_msg=tag)
+            np.testing.assert_array_equal(got.raw, np.ldexp(want.raw, -e), err_msg=tag)
+            assert got.raw_norm == math.ldexp(want.raw_norm, -e), tag
+            assert (got.converged, got.iterations) == (want.converged, want.iterations)
+
+    @pytest.mark.parametrize("tag,e", [(MOM, 600)] + [(t, -600) for t in
+                                                      (SKEWVEC, TOBI, JADE3, LDA, PP)])
+    def test_answers_where_the_unscaled_moments_fail(self, tag, e):
+        # unscaled, MOM's direction of about 2^-600 had a norm that underflowed
+        # ("zero direction"), and the other methods' covariance of about
+        # 2^-1200 was refused as near-singular
+        ds = sample(reference_params(), 500, np.random.default_rng(901))
+        (want, got), = [(w, g) for t, w, g in scaled_fits(reference_params(), ds, e)
+                        if t == tag]
+        np.testing.assert_array_equal(got.unit, want.unit)
+        assert got.raw_norm == math.ldexp(want.raw_norm, -e)
+
+    def test_direction_outside_double_range_is_typed(self):
+        # subnormal data scale up exactly, but LDA's direction, about the
+        # inverse of the data scale, has no double norm
+        ds = sample(reference_params(), 300, np.random.default_rng(902))
+        tiny = DataSet(np.ldexp(ds.observations, -1060), labels=ds.labels)
+        with pytest.raises(NonFiniteError, match="outside double range"):
+            est_lda(tiny)

@@ -156,9 +156,9 @@ class TestCallersMeetPrecondition:
                 for method in estimators.METHODS.values():
                     method.run(data, 0.7)
                 draws += 1
-        # per draw: derive, whitened_mixture's derive and C2 root, then the
-        # whitening, TOBI's eigensolve and LDA's pooled covariance root
-        assert len(seen) == 6 * draws
+        # per draw: whitened_mixture's C2 root, then the whitening, TOBI's
+        # eigensolve and LDA's pooled covariance root; derive takes none
+        assert len(seen) == 4 * draws
         for m in seen:
             assert np.isfinite(m).all() and np.array_equal(m, m.T)
 
@@ -195,6 +195,13 @@ class TestProjectorPair:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             projector_pair(np.zeros(3))
+
+    @pytest.mark.parametrize("v", [[1e-170, 0.0], [1e-160, -1e-160, 0.0], [5e-324]])
+    def test_underflowing_square_is_typed(self, v):
+        # a nonzero v whose squared norm underflows is a numeric failure,
+        # not the zero-vector ValueError
+        with pytest.raises(NonFiniteError, match="underflows"):
+            projector_pair(np.array(v))
 
 
 class TestCommutationMatrix:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skewdisc.errors import NonFiniteError, SymmetryError
-from skewdisc.linalg import commutation_matrix
+from skewdisc.linalg import commutation_matrix, inv_sqrt
 from skewdisc.model import (DataSet, MixtureParams, derive,
                             population_moments, sample, whitened_mixture)
 
@@ -131,8 +131,9 @@ class TestDerive:
         assert d.beta == pytest.approx(0.21)
         assert d.gamma == pytest.approx(0.4)
         assert d.delta == pytest.approx(0.737210, abs=1e-6)
-        np.testing.assert_allclose(d.m, [2.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(d.w, [1.0, 0.0, 0.0], atol=1e-12)
+        m = inv_sqrt(reference_params().sigma) @ d.h
+        np.testing.assert_allclose(m, [2.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(m / np.linalg.norm(m), [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_general_sigma_identities(self):
         rng = np.random.default_rng(10)
@@ -147,8 +148,9 @@ class TestDerive:
             d = derive(params)
             np.testing.assert_allclose(sigma @ d.theta, d.h, atol=1e-9)
             assert d.tau == pytest.approx(float(d.h @ d.theta), rel=1e-12)
-            assert float(d.m @ d.m) == pytest.approx(d.tau, rel=1e-9)
-            assert np.linalg.norm(d.w) == pytest.approx(1.0, abs=1e-12)
+            m = inv_sqrt(sigma) @ d.h
+            assert float(m @ m) == pytest.approx(d.tau, rel=1e-9)
+            assert np.linalg.norm(m / np.linalg.norm(m)) == pytest.approx(1.0, abs=1e-12)
             assert d.beta == pytest.approx(
                 params.alpha1 * (1.0 - params.alpha1))
             assert d.delta == pytest.approx(

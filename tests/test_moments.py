@@ -9,6 +9,7 @@ import pytest
 from skewdisc.model import (DataSet, MixtureParams, derive,
                             population_moments, sample, whitened_mixture)
 from skewdisc.errors import NonFiniteError
+from skewdisc.linalg import inv_sqrt
 from skewdisc.moments import (sample_moments, third_moment, tk_slices,
                               tobi_matrix)
 
@@ -223,4 +224,5 @@ class TestTobiMatrix:
         assert vals[-1] > 0.0
         assert vals[:-1] == pytest.approx([0.0, 0.0], abs=1e-12)
         top = vecs[:, -1]
-        np.testing.assert_allclose(np.abs(top), np.abs(d.w), atol=1e-10)
+        m = inv_sqrt(law.sigma) @ d.h
+        np.testing.assert_allclose(np.abs(top), np.abs(m / np.linalg.norm(m)), atol=1e-10)
