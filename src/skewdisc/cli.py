@@ -17,7 +17,9 @@ print a single JSON line to stderr.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -30,7 +32,7 @@ from .asymptotics import _check_weight, avar_ae, avar_mom, c0_constant, c_lda, c
 from .errors import (ConfigError, Error, NonFiniteError, SupervisionRequiredError,
                      SymmetryError, WeightDivergenceError)
 from .model import DataSet, MixtureParams, derive
-from .montecarlo import ExperimentConfig, chat_experiment, msi_experiment
+from .montecarlo import ExperimentConfig, _forked, _share_count, chat_experiment, msi_experiment
 
 CHAT_COLUMNS = ("method", "alpha1", "tau", "n",
                 "reps_used", "reps_failed", "c_hat", "c_theory")
@@ -46,6 +48,9 @@ class CsvFormatError(Error):
 class UsageError(Error):
     """A subcommand was invoked with inconsistent or missing options."""
 
+
+#: The least body bytes per share when load_csv parses in forked processes.
+_SHARE_BYTES = 1 << 20
 
 #: The label column's tokens and their values; any other token is refused.
 _LABELS = {"-1": -1.0, "1": 1.0, "+1": 1.0}
@@ -101,10 +106,26 @@ def _diagnose(line, width, label_col, feature_cols):
     return "row cannot be parsed after an unclosed quote"
 
 
+def _cuts(path, k):
+    """Offsets 0 < ... < size that cut the file into at most k shares, each cut
+    just past a "\\n"; [0, size] if a '"' is in it: a quoted field may span lines."""
+    with open(path, "rb") as fh:
+        cuts, size = [0], os.fstat(fh.fileno()).st_size
+        while k > 1 and (chunk := fh.read(_SHARE_BYTES)):
+            if b'"' in chunk:
+                return [0, size]
+            pos = fh.tell() - len(chunk)
+            while len(cuts) < k and (i := chunk.find(
+                    b"\n", max(len(cuts) * size // k, cuts[-1], pos) - pos)) >= 0:
+                cuts.append(pos + i + 1)
+    return [b for b in cuts if b < size] + [size]
+
+
 def load_csv(path):
     """Read a headered feature CSV into a DataSet. A column named
     "label" (any position) becomes the labels; every other column must
-    be numeric."""
+    be numeric. A body of _SHARE_BYTES or more is parsed in byte ranges,
+    one per usable CPU, by forked processes."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
@@ -122,11 +143,22 @@ def load_csv(path):
                              converters=None if label_col is None else {label_col: _label})
             if len(table) and table.shape[1] != len(header):
                 raise ValueError(f"expected {len(header)} fields")
-            return table
+            return table.reshape(-1, len(header))
 
+        def parse_share(s):
+            with open(path, "rb") as raw:
+                raw.seek(cuts[s])
+                text = io.TextIOWrapper(io.BytesIO(raw.read(cuts[s + 1] - cuts[s])),
+                                        encoding="utf-8")
+            if s == 0:
+                text.readline()  # the header
+            return parse(text)
+
+        cuts = _cuts(path, _share_count((os.path.getsize(path) - len(first)) // _SHARE_BYTES))
         try:
-            table = parse(fh)
-        except ValueError:
+            table = (np.concatenate(_forked(parse_share, len(cuts) - 1)) if len(cuts) > 2
+                     else parse(fh))
+        except ValueError:  # the serial diagnosis finds the line, in shares or not
             table = None
     if table is None:
         line_no, line = _first_failing(path, lambda lines: _raises(parse, lines))
@@ -183,18 +215,21 @@ def _cmd_estimate(args):
         "converged": est.converged,
         "iterations": est.iterations,
         "notes": list(est.notes),
-        "scores": scores.tolist(),
     }
-    # One key per line, each value by json's C encoder (indent= would force
-    # the pure-Python one), so arrays stay inline.
-    text = "{\n" + ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
-                               for key, value in report.items()) + "\n}"
-    if args.output is None:
-        print(text)
-    else:
+    if args.output is not None:
         _require_out_dir(args.output)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with (contextlib.nullcontext(sys.stdout) if args.output is None
+          else open(args.output, "w", encoding="utf-8")) as out:
+        # One key per line, each value by json's C encoder (indent= would force
+        # the pure-Python one), so arrays stay inline; the scores last, written
+        # in slices, so that no string holds them all.
+        out.write("{")
+        for key, value in report.items():
+            out.write(f"\n  {json.dumps(key)}: {json.dumps(value)},")
+        out.write('\n  "scores": [')
+        for i in range(0, len(scores), 4096):
+            out.write((", " if i else "") + json.dumps(scores[i:i + 4096].tolist())[1:-1])
+        out.write("]\n}\n")
     return 0
 
 

@@ -42,4 +42,4 @@ class ConfigError(Error):
 
 
 class WorkerError(Error):
-    """A simulation worker process died before returning its replicates."""
+    """A worker process died before it sent back its share of the work."""

@@ -193,17 +193,19 @@ def est_mom(data, alpha1):
     NonFiniteError
         If the direction leaves double range.
     """
-    x = data.observations
-    xc = x - x.mean(axis=0)
-    e = _exponent(xc)
-    xc = np.ldexp(xc, -e)
+    # Scaled before centring, so the mean cannot overflow; e + f is the exponent of x - mean.
+    e = _exponent(data.observations)
+    xc = np.ldexp(data.observations, -e)
+    xc -= xc.mean(axis=0)
+    f = _exponent(xc)
+    np.ldexp(xc, -f, out=xc)
     c2 = mom.second_moment(xc)
     c3 = mom.third_moment(xc)
     if _norm(c3) < skewness_floor(float(np.trace(c2))):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
         )
-    return _estimate(mom_direction(c2, c3, alpha1), e, MOM)
+    return _estimate(mom_direction(c2, c3, alpha1), e + f, MOM)
 
 
 def skewvec_direction(whitener, c3_whitened):

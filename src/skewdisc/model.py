@@ -12,7 +12,6 @@ functions shift arbitrary means internally. Second- and higher-order
 central moments do not depend on the shift.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,14 +58,9 @@ class MixtureParams:
         # Checked first: the comparison below is False for NaN.
         if not np.isfinite(sigma).all():
             raise NonFiniteError("matrix has non-finite entries")
-        scaled = sigma
-        with np.errstate(over="ignore"):
-            scale = max(np.linalg.norm(sigma), 1.0)
-        if math.isinf(scale):
-            # Above about 1e154 the sum of squares overflows: scale sigma exactly by
-            # a power of two, which keeps the ratio of the two norms.
-            scaled = np.ldexp(sigma, -_exponent(sigma))
-            scale = np.linalg.norm(scaled)
+        # At unit scale, so the verdict is scale-free and no sum of squares overflows.
+        scaled = np.ldexp(sigma, -_exponent(sigma))
+        scale = np.linalg.norm(scaled)
         gap = np.linalg.norm(scaled - scaled.T)
         if gap > SYMMETRY_RTOL * scale:
             raise SymmetryError(

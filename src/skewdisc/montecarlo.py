@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,8 +179,49 @@ def _replicate(config, draw, cell_index, cell, rep_index):
     return out
 
 
-def _share(config, draw, jobs):
-    return [_replicate(config, draw, *job) for job in jobs]
+def _share_count(limit):
+    # At most limit, one per CPU this process may use, and one without fork.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(limit, cpus or 1)) if hasattr(os, "fork") else 1
+
+
+def _forked(run, k):
+    """[run(0), ..., run(k - 1)]: the caller runs share 0, so a tracer in it sees
+    every layer, and a forked child each other share, whose result or exception
+    comes back pickled through a pipe; one that dies is a WorkerError."""
+    children = []
+    try:
+        for s in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: whatever happens, it never returns
+                try:
+                    try:
+                        out = (True, run(s))
+                    except Exception as exc:
+                        out = (False, exc)
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [run(0)]
+        for _, fh in children:
+            try:
+                ok, value = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                raise WorkerError("a worker process died before it sent its result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, fh in children:
+            import signal  # only with a child: the module costs every start-up 1 ms
+            fh.close()
+            os.kill(pid, signal.SIGKILL)  # done, or not needed after a failure
+            os.waitpid(pid, 0)
 
 
 def _rows(config, draw, workers, summary):
@@ -191,23 +233,10 @@ def _rows(config, draw, workers, summary):
     jobs = [(ci, cell, m)
             for ci, cell in enumerate(config.cells)
             for m in range(config.reps)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    k = min(workers, len(jobs), cpus or 1) if hasattr(os, "fork") else 1
-    if k == 1:
-        batches = _share(config, draw, jobs)
-    else:
-        # Imported here: the process pool costs every CLI start-up tens of ms.
-        import multiprocessing as mp
-        from concurrent.futures import process
-        # Job i goes to share i mod k, which spreads the costly replicates. The
-        # caller runs share 0, so a tracer installed in it sees every layer.
-        try:
-            with process.ProcessPoolExecutor(k - 1, mp_context=mp.get_context("fork")) as pool:
-                futures = [pool.submit(_share, config, draw, jobs[s::k]) for s in range(1, k)]
-                shares = [_share(config, draw, jobs[::k])] + [f.result() for f in futures]
-        except process.BrokenProcessPool as exc:
-            raise WorkerError(f"a simulation worker process died: {exc}") from None
-        batches = [shares[i % k][i // k] for i in range(len(jobs))]
+    k = _share_count(min(workers, len(jobs)))
+    # Job i goes to share i mod k, which spreads the costly replicates.
+    shares = _forked(lambda s: [_replicate(config, draw, *job) for job in jobs[s::k]], k)
+    batches = [shares[i % k][i // k] for i in range(len(jobs))]
     rows = []
     # Jobs run in cell order, reps jobs per cell.
     for ci, cell in enumerate(config.cells):

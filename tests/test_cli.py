@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -274,7 +273,8 @@ class TestEstimate:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["mom", "skewvec", "tobi", "jade3", "lda", "pp"])
     def test_scores_beyond_double_range(self, tmp_path, capsys, method):
-        # values around +-1.5e308: the report's scores (x - mean)'unit leave
+        # values around +-1.5e308: every method answers, MOM too, since it
+        # scales before it centres; the report's scores (x - mean)'unit leave
         # double range, so it is refused, never printed with NaN or Infinity
         data = sample(mixture_params(), 300, np.random.default_rng(64))
         offset = np.where(np.arange(data.p) % 2, -1.5e308, 1.5e308)
@@ -287,6 +287,7 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert stderr_payload(err)["error"] == "NonFiniteError"
+        assert stderr_payload(err)["message"].startswith("a score (x - mean)'unit leaves")
 
     @pytest.mark.parametrize("e", [-600, 600, 1000])
     @pytest.mark.parametrize("method", ["mom", "skewvec", "tobi", "jade3", "lda", "pp"])
@@ -323,6 +324,34 @@ class TestEstimate:
         assert len(lines) == len(report) + 2
         for line, (key, value) in zip(lines[1:-1], report.items()):
             assert line.rstrip(",") == f"  {json.dumps(key)}: {json.dumps(value)}"
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 100_000])
+    def test_report_written_in_pieces(self, tmp_path, capsys, monkeypatch, n):
+        # the scores go out in slices of 4,096 values, yet the bytes are the
+        # whole report's json.dumps form, one key per line, on stdout and in
+        # --output alike, and stdout stays open; a fixed unit lets one row through
+        unit = np.array([0.6, -0.8])
+        fixed = estimators.DirectionEstimate(raw=unit, unit=unit, method="TOBI",
+                                             converged=True, iterations=0, raw_norm=1.0)
+        monkeypatch.setitem(estimators.METHODS, "TOBI", estimators.METHODS["TOBI"]._replace(
+            run=lambda data, alpha1, **fit: fixed))
+        rng = np.random.default_rng(n)
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-200, 200, (n, 2)),
+                   fmt="%.17g", delimiter=",", header="x0,x1", comments="")
+        x = load_csv(str(path)).observations
+        report = {"method": "TOBI", "n": n, "p": 2, "unit": unit.tolist(), "raw_norm": 1.0,
+                  "converged": True, "iterations": 0, "notes": [],
+                  "scores": ((x - x.mean(axis=0)) @ unit).tolist()}
+        want = "{\n" + ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
+                                   for key, value in report.items()) + "\n}\n"
+        code, out, _ = run_cli(["estimate", str(path), "--method", "tobi"], capsys)
+        assert code == 0 and out == want
+        assert not sys.stdout.closed
+        code, out, _ = run_cli(["estimate", str(path), "--method", "tobi",
+                                "--output", str(tmp_path / "r.json")], capsys)
+        assert code == 0 and out == ""
+        assert (tmp_path / "r.json").read_text(encoding="utf-8") == want
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -627,7 +656,8 @@ class TestSimulate:
         assert code == 1 and out == "" and not out_csv.exists()
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "WorkerError"
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_minimal_config_single_row(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", methods=["TOBI"], reps=10)

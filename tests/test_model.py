@@ -81,10 +81,11 @@ class TestMixtureParams:
                 MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.array(mu2),
                               sigma=np.array(sigma))
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** 1000],
-                             ids=["1", "2^600", "2^1000"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -40, 2.0 ** -600, 2.0 ** 600, 2.0 ** 1000],
+                             ids=["1", "2^-40", "2^-600", "2^600", "2^1000"])
     def test_symmetry_verdict_is_scale_free(self, scale):
-        # 1e-12 relative, also where the norm of sigma overflows (above 1e154)
+        # 1e-12 relative, also where the norm of sigma is below 1 or
+        # overflows (above 1e154)
         sigma = np.array([[2.0, 0.5], [0.5, 1.0]]) * scale
         nudge = np.array([[0.0, 1.0], [0.0, 0.0]]) * scale
         MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2), sigma=sigma + 1e-13 * nudge)

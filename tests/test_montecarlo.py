@@ -1,18 +1,18 @@
 """Simulation harness: config validation, deterministic replication,
 aggregation and the two experiment protocols."""
 
-import concurrent.futures.process
 import dataclasses
 import math
-import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from skewdisc import estimators, linalg, model, moments, montecarlo
 from skewdisc.asymptotics import c0_constant, c_lda, c_skewvec
-from skewdisc.errors import ConfigError
+from skewdisc.errors import ConfigError, WorkerError
 from skewdisc.estimators import align_sign
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_MODES,
                                  SIGMA_RANDOM_AAT, ExperimentConfig,
@@ -312,32 +312,25 @@ class TestMsiExperiment:
         assert by_method["LDA"] >= by_method["SKEWVEC"]
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: records the worker count it was
-    asked for and runs each submitted share inline, starting no process."""
-
+@pytest.fixture
+def inline_shares(monkeypatch):
+    """Stands in for montecarlo._forked: records the share count it was
+    asked for and runs every share in the caller, starting no process."""
     asked = []
 
-    def __init__(self, max_workers, mp_context=None):
-        InlinePool.asked.append(max_workers)
+    def inline(run, k):
+        asked.append(k)
+        return [run(s) for s in range(k)]
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    monkeypatch.setattr(montecarlo, "_forked", inline)
+    return asked
 
 
-@pytest.fixture
-def inline_pool(monkeypatch):
-    InlinePool.asked = []
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
-    return InlinePool
+def assert_no_child_left():
+    # raises ChildProcessError only when this process has no child at all,
+    # running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
@@ -345,17 +338,17 @@ needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
 
 
 class TestWorkerProcesses:
-    def test_worker_count_capped_by_usable_cpus(self, inline_pool):
+    def test_worker_count_capped_by_usable_cpus(self, inline_shares):
         cfg = small_config(p=3, sigma_mode=SIGMA_RANDOM_AAT, reps=6,
                            methods=("TOBI", "SKEWVEC"))
         assert msi_experiment(cfg, workers=10**6) == msi_experiment(cfg, workers=1)
-        assert max(inline_pool.asked, default=0) <= len(os.sched_getaffinity(0)) - 1
+        assert inline_shares == [min(6, len(os.sched_getaffinity(0))), 1]
 
     @needs_two_cpus
     def test_no_process_left_after_run(self):
         cfg = small_config(reps=6)
         assert chat_experiment(cfg, workers=2) == chat_experiment(cfg, workers=1)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @needs_two_cpus
     def test_no_process_left_when_caller_share_raises(self, monkeypatch):
@@ -370,15 +363,15 @@ class TestWorkerProcesses:
         monkeypatch.setattr(montecarlo, "_replicate", fails_in_caller)
         with pytest.raises(RuntimeError, match="replicate failed"):
             chat_experiment(small_config(reps=6), workers=2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_serial_where_fork_missing(self, monkeypatch, inline_pool):
+    def test_serial_where_fork_missing(self, monkeypatch, inline_shares):
         cfg = small_config(p=3, sigma_mode=SIGMA_RANDOM_AAT, reps=6,
                            methods=("TOBI", "SKEWVEC"))
         want = msi_experiment(cfg, workers=1)
         monkeypatch.delattr(os, "fork")
         assert msi_experiment(cfg, workers=2) == want
-        assert inline_pool.asked == []
+        assert inline_shares == [1, 1]
 
     def test_chat_mixture_built_once_per_cell(self, monkeypatch):
         built = []
@@ -521,3 +514,49 @@ def direct_estimates(data, rng):
             est = fit(data)
         out.append((method, est))
     return out
+
+
+class TestForked:
+    def test_caller_runs_share_zero_and_children_the_rest(self):
+        shares = montecarlo._forked(lambda s: (s, os.getpid()), 3)
+        assert [s for s, _ in shares] == [0, 1, 2]
+        assert shares[0][1] == os.getpid()
+        assert len({pid for _, pid in shares}) == 3
+        assert_no_child_left()
+
+    def test_one_share_starts_no_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert montecarlo._forked(lambda s: s, 1) == [0]
+
+    def test_exception_in_a_child_is_raised_in_the_caller(self):
+        def run(s):
+            if s == 2:
+                raise ValueError(f"share {s} failed")
+            return s
+
+        with pytest.raises(ValueError, match="share 2 failed"):
+            montecarlo._forked(run, 3)
+        assert_no_child_left()
+
+    def test_exception_in_the_caller_stops_the_children(self):
+        # a child still busy is killed, not waited for
+        def run(s):
+            if s == 0:
+                raise RuntimeError("caller failed")
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="caller failed"):
+            montecarlo._forked(run, 3)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    def test_child_killed_by_a_signal_is_a_worker_error(self):
+        def run(s):
+            if s == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return s
+
+        with pytest.raises(WorkerError, match="died before it sent its result"):
+            montecarlo._forked(run, 3)
+        assert_no_child_left()
