@@ -124,8 +124,8 @@ def _cuts(path, k):
 def load_csv(path):
     """Read a headered feature CSV into a DataSet. A column named
     "label" (any position) becomes the labels; every other column must
-    be numeric. A body of _SHARE_BYTES or more is parsed in byte ranges,
-    one per usable CPU, by forked processes."""
+    be numeric. A body is parsed in byte ranges of _SHARE_BYTES or more, at
+    most one per usable CPU, by forked processes."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
