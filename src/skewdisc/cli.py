@@ -76,11 +76,21 @@ def _raises(parse, lines):
     return False
 
 
+def _utf8(line):
+    # Whether a line read with errors="surrogateescape" was valid UTF-8.
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _first_failing(path, fails):
     """(number, text) of the first body line at which the body, read up to
     and including it, fails. Lines are numbered as the file iterator numbers
-    them, blank lines included; the parser skips blank ones."""
-    with open(path, encoding="utf-8") as fh:
+    them, blank lines included; the parser skips blank ones. A byte that is
+    not UTF-8 is read as a lone surrogate, which no field accepts."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         body = [(no, line) for no, line in enumerate(fh, start=1)
                 if no > 1 and line != "\n"]
     good, bad = 0, len(body)
@@ -96,6 +106,8 @@ def _first_failing(path, fails):
 def _diagnose(line, width, label_col, feature_cols):
     """Why a body line fails: its field count, then its features, then its
     label. A line that parses alone failed only after an unclosed quote."""
+    if not _utf8(line):
+        return "not valid UTF-8"
     fields = _loadtxt([line], dtype=str, ndmin=1)
     if len(fields) != width:
         return f"expected {width} fields, got {len(fields)}"
@@ -125,11 +137,14 @@ def load_csv(path):
     """Read a headered feature CSV into a DataSet. A column named
     "label" (any position) becomes the labels; every other column must
     be numeric. A body is parsed in byte ranges of _SHARE_BYTES or more, at
-    most one per usable CPU, by forked processes."""
-    with open(path, encoding="utf-8") as fh:
+    most one per usable CPU, by forked processes. Bytes that are not UTF-8
+    fail at the line that holds them."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
         if not first:
             raise CsvFormatError(f"{path}: line 1: empty file")
+        if not _utf8(first):
+            raise CsvFormatError(f"{path}: line 1: not valid UTF-8")
         header = [c.strip() for c in _loadtxt([first], dtype=str, ndmin=1)]
         label_col = header.index("label") if "label" in header else None
         feature_cols = [i for i in range(len(header)) if i != label_col]
@@ -149,7 +164,7 @@ def load_csv(path):
             with open(path, "rb") as raw:
                 raw.seek(cuts[s])
                 text = io.TextIOWrapper(io.BytesIO(raw.read(cuts[s + 1] - cuts[s])),
-                                        encoding="utf-8")
+                                        encoding="utf-8", errors="surrogateescape")
             if s == 0:
                 text.readline()  # the header
             return parse(text)
@@ -169,9 +184,11 @@ def load_csv(path):
     if not np.isfinite(table).all():
         line_no, _ = _first_failing(path, lambda lines: not np.isfinite(parse(lines)).all())
         raise CsvFormatError(f"{path}: line {line_no}: non-finite feature value")
-    if label_col is None:
-        return DataSet(table)
-    return DataSet(np.delete(table, label_col, axis=1), labels=table[:, label_col])
+    # The features copied once, p-major as a DataSet keeps them.
+    features = np.empty((len(feature_cols), len(table)))
+    for j, col in enumerate(feature_cols):
+        features[j] = table[:, col]
+    return DataSet(features.T, labels=None if label_col is None else table[:, label_col])
 
 
 def _require_file(path):

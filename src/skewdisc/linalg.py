@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra shared by the whole package.
 
 Everything here is a pure function built on numpy's symmetric
-eigensolver. The inverse square root deliberately goes through the full
+eigensolver; the two eigensolvers take one matrix or a stack of them,
+with the stack axes leading. The inverse square root deliberately goes through the full
 eigendecomposition (not Cholesky or a Newton iteration) so that the
 result is the unique symmetric positive definite root and so that the
 singularity floor is an explicit, testable quantity. The eigensolvers
@@ -23,16 +24,18 @@ def _norm(a):
     return np.sqrt(v.dot(v))
 
 
-def _exponent(a):
-    # The one power-of-two scale e, 0 for a zero a: a * 2^-e peaks in [0.5, 1).
-    return int(np.frexp(np.abs(a).max())[1])
+def _exponent(a, axis=None):
+    # The one power-of-two scale e, 0 for a zero a: a * 2^-e peaks in [0.5, 1);
+    # one per entry left when axis is reduced. max(max, -min) is max |a| with
+    # no |a| temporary.
+    return np.frexp(np.maximum(a.max(axis), -a.min(axis)))[1]
 
 
 def _fix_sign(vectors):
     # Sign convention: the first coordinate of largest absolute value is
     # made nonnegative, so repeated decompositions are bitwise stable.
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+    idx = np.argmax(np.abs(vectors), axis=-2)
+    signs = np.sign(np.take_along_axis(vectors, idx[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
     return vectors * signs
 
@@ -42,12 +45,12 @@ def sym_eigen(m):
 
     Parameters
     ----------
-    m : ndarray, shape (p, p)
-        Symmetric matrix, lower triangle read; nan or inf: NonFiniteError.
+    m : ndarray, shape (..., p, p)
+        Symmetric matrices, lower triangle read; nan or inf: NonFiniteError.
 
     Returns
     -------
-    (values, vectors) : (ndarray (p,), ndarray (p, p))
+    (values, vectors) : (ndarray (..., p), ndarray (..., p, p))
         Eigenvalues in descending order; column i of vectors is the
         eigenvector of values[i]. Eigenvectors are orthonormal and
         sign-fixed (largest-magnitude coordinate nonnegative).
@@ -55,40 +58,45 @@ def sym_eigen(m):
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix has non-finite entries")
     vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], _fix_sign(vecs)[:, ::-1]
+    return vals[..., ::-1], _fix_sign(vecs)[..., ::-1]
 
 
 def inv_sqrt(m):
-    """Symmetric inverse square root of a positive definite matrix.
+    """Symmetric inverse square root of a positive definite matrix, or of
+    each matrix of a stack.
 
     Parameters
     ----------
-    m : ndarray, shape (p, p)
-        Symmetric matrix, lower triangle read; nan or inf: NonFiniteError.
+    m : ndarray, shape (..., p, p)
+        Symmetric matrices, lower triangle read; nan or inf: NonFiniteError.
         Eigenvalues at or below SINGULARITY_RTOL * max(eigenvalue) raise;
         regularizing silently would make every downstream whitening
         meaningless.
 
     Returns
     -------
-    ndarray, shape (p, p)
+    ndarray, shape (..., p, p)
         The unique symmetric positive definite R with R @ m @ R = I,
         symmetric to the last bit.
 
     Raises
     ------
     NearSingularError
-        If the smallest eigenvalue is at or below the floor.
+        If the smallest eigenvalue of a matrix is at or below the floor; the
+        message gives the first such matrix's range.
     """
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix has non-finite entries")
     vals, vecs = np.linalg.eigh(m)
-    if vals[0] <= SINGULARITY_RTOL * vals[-1] or vals[-1] <= 0.0:
+    low, high = vals[..., 0], vals[..., -1]
+    singular = (low <= SINGULARITY_RTOL * high) | (high <= 0.0)
+    if singular.any():
+        i = np.argmax(singular)
         raise NearSingularError(
             f"covariance is numerically singular: eigenvalue range "
-            f"[{vals[0]:.3e}, {vals[-1]:.3e}], relative floor {SINGULARITY_RTOL:.1e}")
-    root = (vecs / np.sqrt(vals)) @ vecs.T
-    return (root + root.T) / 2.0
+            f"[{low.flat[i]:.3e}, {high.flat[i]:.3e}], relative floor {SINGULARITY_RTOL:.1e}")
+    root = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return (root + root.swapaxes(-1, -2)) / 2.0
 
 
 def projector_pair(v):

@@ -12,6 +12,7 @@ functions shift arbitrary means internally. Second- and higher-order
 central moments do not depend on the shift.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,11 @@ class MixtureParams:
     def p(self):
         return len(self.mu1)
 
+    @functools.cached_property
+    def cholesky(self):
+        """The lower Cholesky factor of sigma, computed on first use."""
+        return np.linalg.cholesky(self.sigma)
+
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -104,10 +110,14 @@ class DerivedParams:
 
 @dataclass(frozen=True)
 class DataSet:
-    """An n x p observation matrix with optional component labels.
+    """An n x p observation matrix, or a stack of B of them as one (B, n, p)
+    array, with optional component labels of shape (n,) or (B, n).
 
-    Labels take values in {-1, +1}; component 1 maps to -1. whitening
-    keeps the record estimators.whiten builds, for every later estimator.
+    Labels take values in {-1, +1}; component 1 maps to -1. The
+    observations are kept p-major: each member's p columns lie contiguous
+    over its n rows (an array laid out otherwise is copied so). whitening
+    keeps the record of stages that estimators build, for every later
+    estimator and every member.
     """
 
     observations: np.ndarray
@@ -116,14 +126,16 @@ class DataSet:
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)
-        if obs.ndim != 2:
-            raise ValueError("observations must be an n x p matrix")
+        if obs.ndim not in (2, 3):
+            raise ValueError("observations must be an n x p matrix or a stack of them")
         if not np.isfinite(obs).all():
             raise ValueError("observations must be finite (no nan or inf)")
+        if not obs.swapaxes(-1, -2).flags.c_contiguous:
+            obs = np.ascontiguousarray(obs.swapaxes(-1, -2)).swapaxes(-1, -2)
         object.__setattr__(self, "observations", obs)
         if self.labels is not None:
             lab = np.asarray(self.labels)
-            if lab.shape != (obs.shape[0],):
+            if lab.shape != obs.shape[:-1]:
                 raise ValueError("labels length must match the number of rows")
             if not ((lab == 1) | (lab == -1)).all():
                 raise ValueError("labels must take values in {-1, +1}")
@@ -131,11 +143,11 @@ class DataSet:
 
     @property
     def n(self):
-        return self.observations.shape[0]
+        return self.observations.shape[-2]
 
     @property
     def p(self):
-        return self.observations.shape[1]
+        return self.observations.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -171,22 +183,39 @@ def derive(params):
 
 
 def sample(params, n, rng):
-    """Draw n observations from the mixture.
+    """Draw n observations from the mixture; with rng a sequence of B
+    generators, a (B, n, p) stack whose member b is drawn by rng[b] from
+    params[b], or from params itself when it is one MixtureParams.
 
     Each row comes from component 1 with probability alpha1 (label -1)
-    and from component 2 otherwise (label +1). The draw is fully
-    determined by the state of ``rng``: first n uniforms pick the
-    components, then n*p standard normals supply the noise.
+    and from component 2 otherwise (label +1). A member's draw is fully
+    determined by the state of its generator: first n uniforms pick the
+    components, then n*p standard normals supply the noise. One
+    MixtureParams factors its sigma once, however often it is drawn from.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    from_first = rng.random(n) < params.alpha1
-    noise = rng.standard_normal((n, params.p))
-    chol = np.linalg.cholesky(params.sigma)
-    means = np.stack((params.mu2, params.mu1))[from_first.astype(np.intp)]
-    obs = means + noise @ chol.T
+    stacked = not isinstance(rng, np.random.Generator)
+    rngs = list(rng) if stacked else [rng]
+    each = [params] * len(rngs) if isinstance(params, MixtureParams) else list(params)
+    p = each[0].p
+    from_first = np.empty((len(rngs), n), dtype=bool)
+    obs = np.empty((len(rngs), p, n))
+    for b, (draw, member) in enumerate(zip(rngs, each)):
+        # Member b's slot, read as n x p, holds its noise, then its means,
+        # then its rows, so that a member needs one n x p temporary.
+        slot = obs[b].reshape(n, p)
+        from_first[b] = draw.random(n) < member.alpha1
+        draw.standard_normal(out=slot)
+        rows = slot @ member.cholesky.T
+        np.take((member.mu2, member.mu1), from_first[b].astype(np.intp), axis=0, out=slot,
+                mode="clip")
+        rows += slot
+        obs[b] = rows.T
     labels = np.where(from_first, -1, 1)
-    return DataSet(observations=obs, labels=labels)
+    if not stacked:
+        obs, labels = obs[0], labels[0]
+    return DataSet(observations=obs.swapaxes(-1, -2), labels=labels)
 
 
 def population_moments(params):
@@ -269,9 +298,11 @@ def whitened_mixture(params):
     Useful for injecting exact population moments into the estimators:
     the whitened variable is again a two-component location mixture,
     with mean difference C2^{-1/2} h and component covariance
-    C2^{-1/2} Sigma C2^{-1/2}.
+    C2^{-1/2} Sigma C2^{-1/2}. A C2 outside double range raises
+    NonFiniteError, with no overflow warning before it.
     """
-    d = derive(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = derive(params)
     root = inv_sqrt(d.c2)
     h_w = root @ d.h
     sigma_w = root @ params.sigma @ root

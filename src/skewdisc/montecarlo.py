@@ -18,11 +18,14 @@ msi_experiment
 Replicates are independent jobs with their own deterministic random
 stream, run by up to workers processes (default 1), never more than the
 usable CPUs: the caller runs one share and forked workers the rest, or
-the caller all where there is no fork. A replicate reduces each method
-to the one number its table reads, t' theta_hat / ||theta_hat|| or the
-MSI, and these reduce in replicate order, so tables are identical for
-any worker count. Failed or non-converged replicates are excluded from
-the aggregates and counted in reps_failed.
+the caller all where there is no fork. A share draws its replicates of a
+cell as stacks of about 2^15 values, one DataSet each, so that the layer
+functions run once per stack; a replicate's results have the same bits in
+any stack. A replicate reduces each method to the one number its table
+reads, t' theta_hat / ||theta_hat|| or the MSI, and these reduce in
+replicate order, so tables are identical for any worker count. Failed or
+non-converged replicates are excluded from the aggregates and counted in
+reps_failed.
 """
 
 import functools
@@ -160,22 +163,41 @@ def _msi_draw(config, alpha1, tau, rng):
     return _mean_zero_params(alpha1, h, sigma), lambda est: msi(est.unit, theta)
 
 
-def _replicate(config, draw, cell_index, cell, rep_index):
-    """One entry per method: stat(estimate) on n rows drawn from the mixture
-    that draw(config, alpha1, tau, rng) returns with stat, or None when the
-    estimator raised (LinAlgError is a ValueError) or did not converge."""
+def _replicates(config, draw, cell_index, cell, reps):
+    """For each replicate of reps, one entry per method: stat(estimate) on n
+    rows drawn from the mixture that draw(config, alpha1, tau, rng) returns
+    with stat, or None where the estimator raised (LinAlgError is a
+    ValueError) or did not converge. The replicates are one stacked DataSet
+    whose member b is drawn from the stream of reps[b]."""
     alpha1, tau, n = cell
-    rng = rng_stream(config.master_seed, cell_index * config.reps + rep_index)
-    mixture, stat = draw(config, alpha1, tau, rng)
-    data = sample(mixture, n, rng)
+    rngs = [rng_stream(config.master_seed, cell_index * config.reps + m) for m in reps]
+    mixtures, stats = zip(*(draw(config, alpha1, tau, rng) for rng in rngs))
+    data = sample(mixtures, n, rngs)
     out = []
-    for method in config.methods:
-        try:
-            est = estimators.METHODS[method].run(data, alpha1, rng=rng)
-        except (Error, ValueError):
-            out.append(None)
-            continue
-        out.append(stat(est) if est.converged else None)
+    for b, (stat, rng) in enumerate(zip(stats, rngs)):
+        row = []
+        for method in config.methods:
+            try:
+                est = estimators.METHODS[method].run(data, alpha1, member=b, rng=rng)
+            except (Error, ValueError):
+                row.append(None)
+                continue
+            row.append(stat(est) if est.converged else None)
+        out.append(row)
+    return out
+
+
+def _share(config, draw, jobs):
+    """The entries of jobs [(cell_index, cell, rep)], in order. Each run of
+    one cell's jobs is cut into stacks of B = max(1, 2^15 // (n p))
+    replicates, so that a stack holds about 2^15 values, the rule tk_slices
+    blocks rows by."""
+    out = []
+    for (ci, cell), group in itertools.groupby(jobs, key=lambda job: job[:2]):
+        reps = [m for _, _, m in group]
+        size = max(1, 2 ** 15 // (cell[2] * config.p))
+        for i in range(0, len(reps), size):
+            out += _replicates(config, draw, ci, cell, reps[i:i + size])
     return out
 
 
@@ -235,7 +257,7 @@ def _rows(config, draw, workers, summary):
             for m in range(config.reps)]
     k = _share_count(min(workers, len(jobs)))
     # Job i goes to share i mod k, which spreads the costly replicates.
-    shares = _forked(lambda s: [_replicate(config, draw, *job) for job in jobs[s::k]], k)
+    shares = _forked(lambda s: _share(config, draw, jobs[s::k]), k)
     batches = [shares[i % k][i // k] for i in range(len(jobs))]
     rows = []
     # Jobs run in cell order, reps jobs per cell.

@@ -271,22 +271,24 @@ def test_criterion_8_byte_identical_parallel_runs(capsys, tmp_path):
     msi_cfg.write_text(json.dumps(dict(
         p=3, alpha_grid=[0.7], tau_grid=[8.0], n_grid=[500], reps=30,
         master_seed=78, methods=["TOBI", "LDA"], sigma_mode="random-aat")))
+    # stacks of 21 replicates at n = 500, p = 3, cut differently per worker count
+    six_cfg = tmp_path / "six.json"
+    six_cfg.write_text(json.dumps(dict(
+        p=3, alpha_grid=[0.7], tau_grid=[4.0], n_grid=[500], reps=50,
+        master_seed=79, methods=["MOM", "SKEWVEC", "TOBI", "JADE3", "LDA", "PP"])))
+    runs = {"chat": ("simulate-chat", chat_cfg, ("1", "8")),
+            "msi": ("simulate-msi", msi_cfg, ("1", "8")),
+            "six": ("simulate-chat", six_cfg, ("1", "2", "3"))}
     outputs = {}
-    for tag, cfg in (("chat", chat_cfg), ("msi", msi_cfg)):
-        for workers in ("1", "8"):
-            out = tmp_path / f"{tag}_{workers}.csv"
-            code = main([f"simulate-{tag}", str(cfg), str(out),
-                         "--workers", workers])
+    for tag, (command, cfg, counts) in runs.items():
+        for workers in counts + ("1",):
+            out = tmp_path / f"{tag}_{len(outputs)}.csv"
+            code = main([command, str(cfg), str(out), "--workers", workers])
             assert code == 0
-            outputs[(tag, workers)] = out.read_bytes()
-        rerun = tmp_path / f"{tag}_rerun.csv"
-        assert main([f"simulate-{tag}", str(cfg), str(rerun),
-                     "--workers", "1"]) == 0
-        outputs[(tag, "rerun")] = rerun.read_bytes()
-    same = all(outputs[(tag, "1")] == outputs[(tag, "8")]
-               == outputs[(tag, "rerun")] for tag in ("chat", "msi"))
+            outputs.setdefault(tag, []).append(out.read_bytes())
+    same = all(len(set(found)) == 1 for found in outputs.values())
     capsys.readouterr()
-    ok = same and all(len(outputs[k]) > 0 for k in outputs)
+    ok = same and all(len(found[0]) > 0 for found in outputs.values())
     report(capsys, 8, ok,
-           "simulate-chat and simulate-msi byte-identical across reruns "
-           f"and 1 vs 8 workers: {same}")
+           "simulate-chat and simulate-msi byte-identical across reruns and 1 vs 8 "
+           f"workers, all six methods at p = 3 across 1, 2 and 3 workers: {same}")

@@ -641,14 +641,14 @@ class TestSimulate:
         # a worker killed mid-run (out of memory, a signal) ends the run
         # with exit 1 and one JSON line, and leaves no process behind
         pid = os.getpid()
-        replicate = montecarlo._replicate
+        replicates = montecarlo._replicates
 
         def dies_in_worker(*args):
             if os.getpid() != pid:
                 os._exit(3)
-            return replicate(*args)
+            return replicates(*args)
 
-        monkeypatch.setattr(montecarlo, "_replicate", dies_in_worker)
+        monkeypatch.setattr(montecarlo, "_replicates", dies_in_worker)
         cfg = write_config(tmp_path / "cfg.json")
         out_csv = tmp_path / "msi.csv"
         code, out, err = run_cli(["simulate-msi", cfg, str(out_csv), "--workers", "2"],

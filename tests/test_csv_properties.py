@@ -137,6 +137,31 @@ def test_bad_line_in_a_child_share_keeps_its_number(tmp_path):
     assert asked == [2]
 
 
+@pytest.mark.parametrize("content,line", [
+    (b"x,y\n1,2\n3,\xff4\n", 3),
+    (b"x,\xffy\n1,2\n3,4\n", 1),
+    (b"x,label\n1,1\n3,-1\n5,\xe9\n", 4),
+], ids=["feature", "header", "label"])
+def test_bytes_not_utf8_name_their_line(tmp_path, capsys, content, line):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(content)
+    want = f"{path}: line {line}: not valid UTF-8"
+    assert outcome(path) == want
+    code = main(["estimate", str(path), "--method", "tobi"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "CsvFormatError", "message": want}
+
+
+def test_bytes_not_utf8_in_a_child_share_keep_their_line(tmp_path):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"x,y\n" + b"1.5,-2.5\n" * 50 + b"3.0,\xe94\n" + b"1,2\n" * 5)
+    with shares(cpus=2) as asked:
+        assert outcome(path) == f"{path}: line 52: not valid UTF-8"
+    assert asked == [2]
+    assert_no_child_left()
+
+
 def test_blank_share_is_parsed_by_a_child(tmp_path):
     # cuts near a third and two thirds of the 72 bytes: the middle share,
     # bytes 25 to 49, holds only blank lines

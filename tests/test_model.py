@@ -356,6 +356,14 @@ class TestWhitenedLaws:
         along = float(w @ np.asarray(wm.sigma) @ w)
         assert along == pytest.approx(0.543478, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_whitened_mixture_overflow_is_typed_without_warnings(self):
+        # C2 = Sigma + beta h h' leaves double range: one typed error, no
+        # overflow warning first, so it holds where warnings are errors
+        params = MixtureParams(0.7, [0.0, 0.0], [1e200, 0.0], np.eye(2))
+        with pytest.raises(NonFiniteError):
+            whitened_mixture(params)
+
     def test_whitened_mixture_has_identity_covariance(self):
         rng = np.random.default_rng(13)
         for _ in range(10):

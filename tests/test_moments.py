@@ -120,11 +120,19 @@ class TestSampleMoments:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
-    @pytest.mark.parametrize("x", [np.arange(4.0), np.zeros((3, 2, 2))],
-                             ids=["1-d", "3-d"])
+    @pytest.mark.parametrize("x", [np.arange(4.0), np.zeros((3, 2, 2, 2))],
+                             ids=["1-d", "4-d"])
     def test_non_matrix_rejected(self, x):
+        # a 3-d array is a stack of n x p datasets
         with pytest.raises(ValueError, match=re.escape(f"shape {x.shape}")):
             sample_moments(x)
+
+    def test_stack_gives_each_members_moments(self):
+        x = np.random.default_rng(29).standard_normal((3, 40, 2))
+        mean, c2 = sample_moments(x)
+        for b in range(3):
+            np.testing.assert_array_equal(mean[b], sample_moments(x[b])[0])
+            np.testing.assert_array_equal(c2[b], sample_moments(x[b])[1])
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(23)

@@ -17,7 +17,7 @@ from skewdisc.estimators import align_sign
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_MODES,
                                  SIGMA_RANDOM_AAT, ExperimentConfig,
                                  _chat_draw, _mean_zero_params, _msi_draw,
-                                 _replicate, chat_experiment, msi_experiment,
+                                 _replicates, chat_experiment, msi_experiment,
                                  msi, rng_stream)
 
 ALL_SIX = ("MOM", "SKEWVEC", "TOBI", "JADE3", "LDA", "PP")
@@ -201,10 +201,10 @@ class TestChatExperiment:
     def test_projections_bounded_by_one(self):
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
         for m in range(5):
-            for t_projection in _replicate(cfg, _chat_draw, 0, (0.7, 8.0, 600), m):
+            for t_projection in _replicates(cfg, _chat_draw, 0, (0.7, 8.0, 600), [m])[0]:
                 assert t_projection is not None
                 assert abs(t_projection) <= 1.0
-            for similarity in _replicate(cfg, _msi_draw, 0, (0.7, 8.0, 600), m):
+            for similarity in _replicates(cfg, _msi_draw, 0, (0.7, 8.0, 600), [m])[0]:
                 assert similarity is not None
                 assert 0.0 <= similarity <= 1.0
 
@@ -353,14 +353,14 @@ class TestWorkerProcesses:
     @needs_two_cpus
     def test_no_process_left_when_caller_share_raises(self, monkeypatch):
         pid = os.getpid()
-        replicate = montecarlo._replicate
+        replicates = montecarlo._replicates
 
         def fails_in_caller(*args):
             if os.getpid() == pid:
                 raise RuntimeError("replicate failed")
-            return replicate(*args)
+            return replicates(*args)
 
-        monkeypatch.setattr(montecarlo, "_replicate", fails_in_caller)
+        monkeypatch.setattr(montecarlo, "_replicates", fails_in_caller)
         with pytest.raises(RuntimeError, match="replicate failed"):
             chat_experiment(small_config(reps=6), workers=2)
         assert_no_child_left()
@@ -415,7 +415,7 @@ class TestSharedWhitening:
                            (moments, "tobi_matrix"), (linalg, "sym_eigen")):
             count_calls(monkeypatch, calls, home, name)
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
-        results = _replicate(cfg, _chat_draw, 0, (0.7, 8.0, 600), 0)
+        (results,) = _replicates(cfg, _chat_draw, 0, (0.7, 8.0, 600), [0])
         assert all(value is not None for value in results)
         return calls
 
@@ -456,7 +456,7 @@ class TestSharedWhitening:
         # the method table gives each method the same answer as calling
         # its est_* function on the same draw
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
-        results = _replicate(cfg, _chat_draw, 0, (0.7, 8.0, 600), 1)
+        (results,) = _replicates(cfg, _chat_draw, 0, (0.7, 8.0, 600), [1])
         rng = rng_stream(cfg.master_seed, 1)
         h = np.array([np.sqrt(8.0), 0.0, 0.0])
         data = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600, rng)
@@ -470,7 +470,7 @@ class TestSharedWhitening:
         # comes, to the last bit: MSI does not depend on the sign
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,),
                            sigma_mode=SIGMA_RANDOM_AAT)
-        results = _replicate(cfg, _msi_draw, 0, (0.7, 8.0, 600), 1)
+        (results,) = _replicates(cfg, _msi_draw, 0, (0.7, 8.0, 600), [1])
         rng = rng_stream(cfg.master_seed, 1)
         a = rng.standard_normal((3, 3))
         direction = rng.standard_normal(3)
@@ -495,7 +495,7 @@ class TestSharedWhitening:
             count_calls(monkeypatch, calls, home, name)
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,),
                            sigma_mode=sigma_mode)
-        results = _replicate(cfg, draw, 0, (0.7, 8.0, 600), 0)
+        (results,) = _replicates(cfg, draw, 0, (0.7, 8.0, 600), [0])
         assert all(value is not None for value in results)
         assert calls == want
 
