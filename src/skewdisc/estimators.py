@@ -88,8 +88,9 @@ class Whitening:
             the whitened covariance trace is p)
     tk      the T_k slices of z as one (p, p, p) array per member
     tobi    tobi_unit(tk)
-    mom     MOM's centred moments: its e + f, and c2 and c3 of the data
-            centred and scaled by 2^-(e + f)
+    mom     MOM's centred moments: its e + f; c2 and c3 of the data centred
+            and scaled by 2^-(e + f); whether ||c3|| is below
+            skewness_floor(trace c2)
     lda     LDA's exponent and direction
 
     exponent, whitener, whitened, c3, symmetric, tk and tobi are the values
