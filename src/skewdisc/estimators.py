@@ -225,15 +225,21 @@ def _whitening(x):
 
 def _centred_moments(x):
     # The mom stage: scaled before centring, so the mean cannot overflow;
-    # e + f is the exponent of x - mean.
-    e = _exponent(x, (-2, -1))
+    # e + f is the exponent of x - mean. A constant sample, every row the
+    # same, counts as symmetric: centring leaves zeros, or in every row the
+    # one rounding residual of the mean, which 2^-f would blow up. e is
+    # _exponent(x, (-2, -1)), from the column ranges that show it.
+    x = mom._observations(x)
+    hi, lo = x.max(axis=-2), x.min(axis=-2)
+    e = np.frexp(np.maximum(hi.max(axis=-1), -lo.min(axis=-1)))[1]
     xc = np.ldexp(x, -e[..., None, None])
     xc -= xc.mean(axis=-2)[..., None, :]
     f = _exponent(xc, (-2, -1))
     np.ldexp(xc, -f[..., None, None], out=xc)
     c2, c3 = mom.second_moment(xc), mom.third_moment(xc)
     trace = np.trace(c2, axis1=-2, axis2=-1)
-    return e + f, c2, c3, np.sqrt((c3 * c3).sum(axis=-1)) < skewness_floor(trace)
+    return e + f, c2, c3, ((np.sqrt((c3 * c3).sum(axis=-1)) < skewness_floor(trace))
+                           | (hi == lo).all(axis=-1))
 
 
 def _class_direction(x, labels):
@@ -359,20 +365,23 @@ def _fixed_point(tk, step, init, tol, max_iter, rng):
     # (update, objective) = step(tu, coef) with tu[k] = T_k u and coef[k] =
     # u' T_k u = T(e_k, u, u), both from one matrix-vector product with the
     # (p*p, p) view of T. An objective (None: nothing to watch) that drops
-    # between iterates adds the note "objective decreased". On the contiguous
-    # arrays made here ndarray.dot rounds as @ does, at less call overhead;
-    # rows @ u keeps @, as rows may view a caller's strided tk.
+    # between iterates adds the note "objective decreased". rows is made
+    # C-contiguous once (a copy only of a caller's strided tk), and T u is
+    # written into one buffer per call, of which tu is a view; on contiguous
+    # arrays np.dot and ndarray.dot round as @ does, at less call overhead.
     if rng is None:
         rng = np.random.default_rng(0)
     p = len(init)
-    rows = tk.reshape(p * p, p)
+    rows = np.ascontiguousarray(tk.reshape(p * p, p))
+    flat = np.empty(p * p)
+    tu = flat.reshape(p, p)
     u = init / _norm(init)
     notes = []
     iterations = 0
     restarts = 0
     prev_obj = None
     while iterations < max_iter:
-        tu = (rows @ u).reshape(p, p)
+        np.dot(rows, u, out=flat)
         update, obj = step(tu, tu.dot(u))
         if prev_obj is not None and obj < prev_obj - 1e-12 * max(1.0, prev_obj):
             notes.append("objective decreased")

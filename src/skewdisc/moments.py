@@ -7,11 +7,15 @@ leading. numpy runs each member's reductions and products on its own
 rows, so a member's statistics have the same bits in any stack. The
 datasets the package builds are p-major: each member's p columns lie
 contiguous over its n rows, so every reduction over rows runs along
-memory.
+memory. The third-moment tensor is summed over its p(p+1)(p+2)/6
+distinct entries only, each once, through one products buffer per call,
+and written to every index order by slice assignment (see tk_slices).
 
 The second moment uses divisor n (not n - 1) throughout, matching the
 estimator definitions the asymptotic theory is stated for.
 """
+
+import itertools
 
 import numpy as np
 
@@ -31,16 +35,22 @@ def sample_moments(x):
     than 2 rows, raises ValueError; a covariance that overflows raises
     NonFiniteError.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (2, 3):
-        raise ValueError(f"expected an n x p array or a stack of them, got shape {x.shape}")
-    if x.shape[-2] < 2:
-        raise ValueError("need at least 2 observations for sample moments")
+    x = _observations(x)
     mean = x.mean(axis=-2)
     c2 = second_moment(x - mean[..., None, :])
     if not np.isfinite(c2).all():
         raise NonFiniteError("sample covariance overflows; rescale the data")
     return mean, c2
+
+
+def _observations(x):
+    # x as a float n x p array or a stack of them, each of at least 2 rows.
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (2, 3):
+        raise ValueError(f"expected an n x p array or a stack of them, got shape {x.shape}")
+    if x.shape[-2] < 2:
+        raise ValueError("need at least 2 observations for sample moments")
+    return x
 
 
 def second_moment(xc):
@@ -60,28 +70,48 @@ def third_moment(xc):
 
 def tk_slices(whitened):
     """Third-moment tensor T[k, a, b] = (1/n) sum_i z_ik z_ia z_ib of
-    already centered and whitened rows z_i, as one (..., p, p, p) array
-    whose slice k is T_k; T(e_k, u, u) = (1/n) sum_i z_ik (u'z_i)^2 is the
-    projection pursuit step. Only the blocks T[k, k:, k:] are summed, over
-    blocks of at most min(8192, 2^15 / p + 1) rows of the coordinate-major
-    data (copied so only if z is not p-major), so that each member's
-    temporaries hold about 2^15 values or fewer and stay in cache; the
-    blocks depend on p alone. The rest is filled by the index symmetry of
-    T, which holds to the last bit."""
+    already centered and whitened rows z_i, as one C-contiguous (..., p, p,
+    p) array whose slice k is T_k; T(e_k, u, u) = (1/n) sum_i z_ik
+    (u'z_i)^2 is the projection pursuit step.
+
+    Only the p(p+1)(p+2)/6 distinct entries k <= a <= b are summed, each
+    once. For each a, the smaller of the two row sets z_k (k <= a) and z_b
+    (b >= a) is multiplied by z_a into one products buffer of ceil(p/2)
+    rows, allocated once per call, and one matrix product of the two sets
+    adds the (a+1) x (p-a) block of entries of that a to a packed vector.
+    Rows are taken in blocks of at most min(8192, 2^15 / p + 1) of the
+    coordinate-major data (copied so only if z is not p-major), so that
+    each member's temporaries hold about 2^15 values or fewer and stay in
+    cache; the blocks depend on p alone. The packed sums are divided by n
+    once; slice assignments then write each block into the slabs T[k, k:,
+    k:] and copy each slab to its two other index orders, so the index
+    symmetry of T holds to the last bit."""
     z = np.asarray(whitened, dtype=float)
-    n, p = z.shape[-2:]
+    lead, (n, p) = z.shape[:-2], z.shape[-2:]
     cols = np.ascontiguousarray(z.swapaxes(-1, -2))
     step = min(8192, 2 ** 15 // p + 1)
-    t = np.zeros(z.shape[:-2] + (p, p, p))
+    offsets = list(itertools.accumulate([(a + 1) * (p - a) for a in range(p)], initial=0))
+    packed = np.zeros(lead + (offsets[-1],))
+    blocks = [packed[..., offsets[a]:offsets[a + 1]] for a in range(p)]
+    products = np.empty(lead + ((p + 1) // 2, min(step, n)))
     for start in range(0, n, step):
         rows = cols[..., start:start + step]
-        for k in range(p):
-            t[..., k, k:, k:] += (rows[..., k:, :] * rows[..., k, None, :]) @ \
-                rows[..., k:, :].swapaxes(-1, -2)
-    for k in range(p):
-        block = t[..., k, k:, k:]
-        block = (block + block.swapaxes(-1, -2)) / (2.0 * n)
-        t[..., k, k:, k:] = t[..., k:, k, k:] = t[..., k:, k:, k] = block
+        m = rows.shape[-1]
+        for a, block in enumerate(blocks):
+            low, high = rows[..., :a + 1, :], rows[..., a:, :]
+            if 2 * a < p:
+                low = np.multiply(low, rows[..., a, None, :], out=products[..., :a + 1, :m])
+            else:
+                high = np.multiply(high, rows[..., a, None, :], out=products[..., :p - a, :m])
+            block += (low @ high.swapaxes(-1, -2)).reshape(block.shape)
+    packed /= n
+    t = np.empty(lead + (p, p, p))
+    for a, block in enumerate(blocks):
+        block = block.reshape(lead + (a + 1, p - a))
+        t[..., :a + 1, a, a:] = t[..., :a + 1, a:, a] = block
+    for k in range(p - 1):
+        t[..., k + 1:, k, k:] = t[..., k, k + 1:, k:]
+        t[..., k + 1:, k + 1:, k] = t[..., k, k + 1:, k + 1:]
     return t
 
 

@@ -390,6 +390,25 @@ class TestEstimate:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "DegenerateSkewnessError"
 
+    @pytest.mark.parametrize("rows,code,error,message", [
+        ("1,2\n1,2\n1,2\n", 1, "DegenerateSkewnessError", "sample third moment is numerically zero"),
+        ("0.1,0.7\n" * 7, 1, "DegenerateSkewnessError", "sample third moment is numerically zero"),
+        ("1,2\n", 2, "ValueError", "need at least 2 observations"),
+    ], ids=["constant", "constant-rounded-mean", "one-row"])
+    def test_mom_refuses_a_constant_or_one_row_sample(self, tmp_path, capsys, rows, code,
+                                                      error, message):
+        # a constant sample centres to zeros, or to the one rounding residual
+        # of its mean in every row (seven rows of 0.1, 0.7), and counts as
+        # symmetric; a single row has no moments at all
+        path = tmp_path / "flat.csv"
+        path.write_text("x,y\n" + rows)
+        got, out, err = run_cli(
+            ["estimate", str(path), "--method", "mom", "--alpha1", "0.7"], capsys)
+        assert got == code and out == ""
+        assert len(err.splitlines()) == 1
+        assert stderr_payload(err)["error"] == error
+        assert stderr_payload(err)["message"].startswith(message)
+
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1.0,2.0\n3.0\n")

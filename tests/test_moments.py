@@ -169,6 +169,31 @@ class TestTkSlices:
         for perm in itertools.permutations(range(3)):
             np.testing.assert_array_equal(tk, tk.transpose(perm))
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 30])
+    def test_exact_on_integer_rows(self, p):
+        # small nonzero integers: every product and every sum is exact in
+        # float64, so any order of summation gives the einsum's bits, and a
+        # wrong packed index or fill shows as a wrong entry
+        step = min(8192, 2 ** 15 // p + 1)
+        rng = np.random.default_rng(p)
+        for n in (5, step - 1, step, step + 1, 2 * step + 3):
+            z = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=(n, p))
+            want = np.einsum("nk,na,nb->kab", z, z, z) / n
+            assert tk_slices(z).tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("n", [300, 3278])
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 30])
+    @pytest.mark.parametrize("stack", [1, 4])
+    def test_stack_members_equal_members_alone(self, stack, p, n):
+        # p-major, as the package builds its stacks
+        z = np.stack([skewed_rows(p, n + b)[:n] for b in range(stack)])
+        z = np.ascontiguousarray(z.swapaxes(-1, -2)).swapaxes(-1, -2)
+        tk = tk_slices(z)
+        assert tk.shape == (stack, p, p, p)
+        for b in range(stack):
+            assert tk[b].flags.c_contiguous
+            assert tk[b].tobytes() == tk_slices(z[b]).tobytes(), b
+
     def test_slices_symmetric(self):
         rng = np.random.default_rng(25)
         z = rng.standard_normal((100, 3))
