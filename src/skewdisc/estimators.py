@@ -228,7 +228,7 @@ def _centred_moments(x):
     # e + f is the exponent of x - mean. A constant sample, every row the
     # same, counts as symmetric: centring leaves zeros, or in every row the
     # one rounding residual of the mean, which 2^-f would blow up. e is
-    # _exponent(x, (-2, -1)), from the column ranges that show it.
+    # _exponent(x, (-2, -1)), taken from the column ranges the check reads.
     x = mom._observations(x)
     hi, lo = x.max(axis=-2), x.min(axis=-2)
     e = np.frexp(np.maximum(hi.max(axis=-1), -lo.min(axis=-1)))[1]
