@@ -7,7 +7,10 @@ estimators differ only through the scalar C. The method-of-moments
 estimator is not affine equivariant and carries its own two-term
 covariance. avar_ae and avar_mom return the covariance matrix of
 sqrt(n) * (normalized estimate - target) as a plain ndarray; a Sigma
-too close to singular to whiten raises NearSingularError.
+too close to singular to whiten raises NearSingularError. Both
+covariances are exactly invariant under Sigma -> 4^k Sigma, h -> 2^k h,
+so both are computed at the k that brings Sigma to unit scale, where no
+power of ||h|| or of Sigma leaves double range.
 
 Scalar constants
 ----------------
@@ -20,8 +23,8 @@ c_lda       : the supervised baseline, a lower bound for all of them.
 import numpy as np
 
 from .errors import WeightDivergenceError
-from .linalg import inv_sqrt, projector_pair
-from .model import derive
+from .linalg import _exponent, inv_sqrt, projector_pair
+from .model import MixtureParams, derive
 
 #: Constants are refused closer to the boundary than this: 1 - 4*beta
 #: vanishes at alpha1 = 1/2 and tau-identifiability collapses at 1.
@@ -84,6 +87,15 @@ def c_lda(alpha1, tau):
     return (1.0 + bt) / bt
 
 
+def _unit_scale(params):
+    # params with Sigma 4^-k, mu1 0 and mu2 h 2^-k, k = _exponent(Sigma) // 2,
+    # so that Sigma peaks in [0.5, 2); exact while no entry is subnormal.
+    k = int(_exponent(params.sigma)) // 2
+    h = params.mu2 - params.mu1
+    return MixtureParams(alpha1=params.alpha1, mu1=np.zeros_like(h), mu2=np.ldexp(h, -k),
+                         sigma=np.ldexp(params.sigma, -2 * k))
+
+
 def avar_ae(constant_c, params):
     """Limiting covariance of an affine equivariant estimator with
     scalar constant constant_c:
@@ -92,6 +104,7 @@ def avar_ae(constant_c, params):
     """
     if not constant_c > 0:
         raise ValueError(f"constant_c must be positive, got {constant_c}")
+    params = _unit_scale(params)
     d = derive(params)
     _, q = projector_pair(d.theta)
     root = inv_sqrt(params.sigma)  # Sigma^{-1} = root^2; refuses a near-singular Sigma
@@ -111,6 +124,7 @@ def avar_mom(params):
     + beta (1 - 4 beta) ||h||^4. Not a multiple of Q Sigma^{-1} Q for
     generic Sigma.
     """
+    params = _unit_scale(params)
     d = derive(params)
     _check_weight(params.alpha1)
     sigma = params.sigma

@@ -306,7 +306,7 @@ def _cmd_constants(args):
     except OverflowError:
         finite = False
     if not finite:
-        raise NonFiniteError("a constant or covariance leaves double range; rescale the input")
+        raise NonFiniteError("a constant or covariance leaves double range")
     print(f"alpha1 = {args.alpha1}, tau = {tau}, p = {p}")
     print(f"C[LDA]          = {lda}")
     print(f"C[TOBI/JADE3/PP] = {c0}")

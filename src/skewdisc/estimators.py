@@ -93,9 +93,7 @@ class Whitening:
             skewness_floor(trace c2)
     lda     LDA's exponent and direction
 
-    exponent, whitener, whitened, c3, symmetric, tk and tobi are the values
-    of the whole DataSet, a stack axis leading; they raise the error of the
-    first member that has one."""
+    member(name, b) reads them, one member at a time."""
 
     def __init__(self, data):
         self._stacked = data.observations.ndim == 3
@@ -128,23 +126,6 @@ class Whitening:
         if isinstance(value, Exception):
             raise value
         return value
-
-    def _whole(self, name):
-        # Stage name's values of the whole DataSet; raises the first member's error.
-        if name not in self._members:
-            self._run(name)
-        for value in self._members[name]:
-            if isinstance(value, Exception):
-                raise value
-        return self._blocks[name][0][2]
-
-    exponent = property(lambda self: self._whole("whiten")[0])
-    whitener = property(lambda self: self._whole("whiten")[1])
-    whitened = property(lambda self: self._whole("whiten")[2])
-    c3 = property(lambda self: self._whole("whiten")[3])
-    symmetric = property(lambda self: self._whole("whiten")[4])
-    tk = property(lambda self: self._whole("tk")[0])
-    tobi = property(lambda self: self._whole("tobi"))
 
 
 def _computed(compute, lo, hi, value):
@@ -193,20 +174,18 @@ def whiten(data, member=None):
     """Center and whiten a dataset, scaled as Whitening states, by the
     inverse square root of its sample covariance (divisor n), and take the
     third moments of the whitened rows, for every member of a stack at once.
-    Returns the record of data, which is built once per DataSet and kept on
-    it; its observations must not change afterwards.
+    member is the index of a stacked DataSet's member, None for an unstacked
+    one, as in Whitening.member. Returns the record of data, which is built
+    once per DataSet and kept on it; its observations must not change
+    afterwards.
 
     Raises
     ------
     NearSingularError
-        If the sample covariance of member (of any member, for member
-        None) is numerically singular.
+        If the sample covariance of member is numerically singular.
     """
     record = _record(data)
-    if member is None:
-        record._whole("whiten")
-    else:
-        record.member("whiten", member)
+    record.member("whiten", member)
     return record
 
 
@@ -283,12 +262,16 @@ def mom_direction(c2, c3, alpha1):
 
 
 def est_mom(data, alpha1, member=None):
-    """Method-of-moments estimate; requires the true weight alpha1.
+    """Method-of-moments estimate; requires the true weight alpha1. It
+    refuses the data that whiten refuses, so every method gives a
+    near-singular covariance the same error.
 
     Raises
     ------
     DegenerateSkewnessError
         If the sample third moment is below the degeneracy floor.
+    NearSingularError
+        If the sample covariance is numerically singular.
     numpy.linalg.LinAlgError
         If the inner matrix is singular.
     NonFiniteError
@@ -299,6 +282,7 @@ def est_mom(data, alpha1, member=None):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
         )
+    whiten(data, member)
     return _estimate(mom_direction(c2, c3, alpha1), e, MOM)
 
 
@@ -459,8 +443,8 @@ def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None, member=No
     """Projection pursuit plug-in (experimental): fixed point
     u <- normalize(mean((u'z)^2 z)) on the whitened data, a stationary
     point of the squared projection skewness, started from the whitened
-    third-moment vector, stepping on T(., u, u) of the cached tensor
-    whiten(data).tk. Same loop and restart policy as JADE3; may
+    third-moment vector, stepping on T(., u, u) of the cached tensor, the
+    record's "tk" stage. Same loop and restart policy as JADE3; may
     legitimately return converged=False.
 
     Raises

@@ -6,6 +6,8 @@ against the module."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewdisc.asymptotics import (WEIGHT_MARGIN, avar_ae, avar_mom, c0_constant,
                                   c_lda, c_skewvec)
@@ -210,3 +212,24 @@ def test_near_singular_sigma_refused_where_it_is_inverted():
         avar_ae(c0_constant(0.7, 1.0), params)
     with pytest.raises(NearSingularError):
         avar_mom(params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.sampled_from((1, 3, 5, 40, 300, 400)).flatmap(lambda k: st.sampled_from((k, -k)))
+       | st.integers(-400, 400))
+def test_covariances_exactly_invariant_under_power_of_two_scale(p, seed, k):
+    # Sigma -> 4^k Sigma, h -> 2^k h leaves tau, theta / ||theta|| and both
+    # covariances unchanged, bit for bit, also where ||h||^4 or trace(Sigma^2)
+    # of the scaled input leave double range
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p))
+    sigma = a @ a.T + np.eye(p)
+    mu1, mu2 = rng.standard_normal((2, p))
+    alpha1 = float(rng.uniform(0.55, 0.95))
+    params = MixtureParams(alpha1=alpha1, mu1=mu1, mu2=mu2, sigma=sigma)
+    scaled = MixtureParams(alpha1=alpha1, mu1=np.ldexp(mu1, k), mu2=np.ldexp(mu2, k),
+                           sigma=np.ldexp(sigma, 2 * k))
+    c = c0_constant(alpha1, derive(params).tau)
+    np.testing.assert_array_equal(avar_ae(c, scaled), avar_ae(c, params))
+    np.testing.assert_array_equal(avar_mom(scaled), avar_mom(params))

@@ -409,6 +409,23 @@ class TestEstimate:
         assert stderr_payload(err)["error"] == error
         assert stderr_payload(err)["message"].startswith(message)
 
+    @pytest.mark.parametrize("x", [0.1, 1.0], ids=["rounded-mean", "exact-mean"])
+    @pytest.mark.parametrize("with_labels", [False, True], ids=["unlabeled", "labeled"])
+    def test_constant_column_refused_alike_by_every_method(self, tmp_path, capsys, x,
+                                                           with_labels):
+        # one constant column beside a skewed one: a singular covariance,
+        # whether or not the column's mean rounds, that no method may answer
+        y = np.random.default_rng(3).exponential(size=100)
+        data = DataSet(np.column_stack([np.full(100, x), y]), labels=np.where(y > 1.0, 1, -1))
+        path = write_dataset(tmp_path / "flat.csv", data, with_labels=with_labels)
+        methods = ["mom", "skewvec", "tobi", "jade3", "pp"] + ["lda"] * with_labels
+        for method in methods:
+            extra = ["--alpha1", "0.7"] if method == "mom" else []
+            code, out, err = run_cli(["estimate", path, "--method", method] + extra, capsys)
+            assert code == 1 and out == "", method
+            assert len(err.splitlines()) == 1, method
+            assert json.loads(err)["error"] == "NearSingularError", method
+
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1.0,2.0\n3.0\n")
@@ -551,19 +568,51 @@ class TestConstants:
         assert len(err.splitlines()) == 1
         assert error in (None, json.loads(err)["error"])
 
-    @pytest.mark.parametrize("sigma,h,error", [
-        ("1e200,0;0,1e200", "1e62,0", "NonFiniteError"),
-        ("1e200,0;0,1e200", "1e100,0", "NonFiniteError"),
-        ("1e250,0;0,1e250", "1e87,0", "NonFiniteError"),
-    ], ids=["nan-covariance", "python-overflow", "warning"])
-    def test_values_beyond_double_range_print_nothing(self, sigma, h, error, capsys):
-        # finite input whose covariances overflow: one typed error, never a
-        # NaN matrix, a traceback or a warning line (warnings fail the test)
-        code, out, err = run_cli(
+    @pytest.mark.parametrize("e", [-600, 600, 1000])
+    def test_covariances_at_any_power_of_two_scale(self, e, capsys):
+        # Sigma s, h sqrt(s) with s = 2^e: the same tau and the same
+        # covariances as at s = 1, although ||h||^4 and trace(Sigma^2) leave
+        # double range
+        def argv(s, k):
+            return ["constants", "--alpha1", "0.7", "--sigma",
+                    f"{2 * s!r},{0.5 * s!r};{0.5 * s!r},{s!r}", "--h", f"{2 * k!r},{k!r}"]
+
+        code, want, _ = run_cli(argv(1.0, 1.0), capsys)
+        assert code == 0 and "tau = 2.2857142857142856" in want
+        code, got, err = run_cli(argv(math.ldexp(1.0, e), math.ldexp(1.0, e // 2)), capsys)
+        assert code == 0 and err == "" and got == want
+
+    @pytest.mark.parametrize("sigma,h", [
+        ("1e200,0;0,1e200", "1e62,0"),
+        ("1e200,0;0,1e200", "1e100,0"),
+        ("1e250,0;0,1e250", "1e87,0"),
+    ], ids=["tau-1e-76", "tau-1", "tau-1e-76-huge"])
+    def test_huge_sigma_prints_its_unit_scale_twin(self, sigma, h, capsys):
+        # Sigma 4^-k and h 2^-k, exact in binary, have the same tau and
+        # covariances, so finite input far from unit scale answers as its
+        # twin does: no typed error, no NaN, no warning (warnings fail the test)
+        rows = [[float(v) for v in row.split(",")] for row in sigma.split(";")]
+        k = math.frexp(max(map(max, rows)))[1] // 2
+        twin_sigma = ";".join(",".join(repr(math.ldexp(v, -2 * k)) for v in row)
+                              for row in rows)
+        twin_h = ",".join(repr(math.ldexp(float(v), -k)) for v in h.split(","))
+        code, want, _ = run_cli(
+            ["constants", "--alpha1", "0.7", "--sigma", twin_sigma, "--h", twin_h], capsys)
+        assert code == 0 and "nan" not in want
+        code, got, err = run_cli(
             ["constants", "--alpha1", "0.7", "--sigma", sigma, "--h", h], capsys)
-        assert code in {1, 2} and out == ""
-        assert len(err.splitlines()) == 1 and "nan" not in err
-        assert error in (None, json.loads(err)["error"])
+        assert code == 0 and err == "" and got == want
+
+    @pytest.mark.parametrize("p", [10 ** 80, 10 ** 400], ids=["inf", "python-overflow"])
+    def test_values_beyond_double_range_print_nothing(self, p, capsys):
+        # C[SKEWVEC] grows as p / tau^3: at tau = 1e-77 it is about
+        # 3e233 p, beyond double range at these p; one typed error, never
+        # an inf, a traceback or a warning line
+        code, out, err = run_cli(
+            ["constants", "--alpha1", "0.7", "--tau", "1e-77", "--p", str(p)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "nan" not in err and "inf" not in err
+        assert json.loads(err)["error"] == "NonFiniteError"
 
     @pytest.mark.parametrize("sigma,h,fragment", [
         ("1,0;0", "1,0", "square"),

@@ -215,22 +215,22 @@ def first_step(tk, u):
 
 
 class TestTensorSteps:
-    """JADE3 and PP step on the cached tensor T = whiten(data).tk: PP's
-    update is coef = T(., u, u), JADE3's is coef @ tu."""
+    """JADE3 and PP step on the cached tensor T, the record's "tk" stage:
+    PP's update is coef = T(., u, u), JADE3's is coef @ tu."""
 
     @pytest.mark.parametrize("p", [3, 10, 30])
     def test_pp_step_is_data_pass(self, p):
         wh = whiten(random_aat_sample(p, 2000, p))
-        z = wh.whitened
+        z = wh.member("whiten", None)[2]
         for u in np.random.default_rng(p).standard_normal((5, p)):
             u = unit(u)
             want = z.T @ ((z @ u) ** 2) / len(z)
-            _, got = first_step(wh.tk, u)
+            _, got = first_step(wh.member("tk", None)[0], u)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("p", [3, 10, 30])
     def test_jade3_step_is_slice_sum(self, p):
-        tk = whiten(random_aat_sample(p, 2000, p)).tk
+        tk = whiten(random_aat_sample(p, 2000, p)).member("tk", None)[0]
         u = unit(np.random.default_rng(p).standard_normal(p))
         tu, coef = first_step(tk, u)
         want = sum((u @ s @ u) * (s @ u) for s in tk)
@@ -241,8 +241,8 @@ class TestTensorSteps:
         # reference: the PP fixed point by passes over the whitened data
         ds = sample(reference_params(), 5000, np.random.default_rng(seed))
         wh = whiten(ds)
-        z = wh.whitened
-        u = unit(wh.c3)
+        _, whitener, z, c3, _ = wh.member("whiten", None)
+        u = unit(c3)
         for iterations in range(1, DEFAULT_MAX_ITER + 1):
             new_u = unit(z.T @ ((z @ u) ** 2) / ds.n)
             converged = 1.0 - abs(new_u @ u) < DEFAULT_TOL
@@ -251,7 +251,7 @@ class TestTensorSteps:
                 break
         est = est_pp(ds)
         assert est.converged and converged and est.iterations == iterations
-        np.testing.assert_allclose(est.unit, unit(wh.whitener @ u), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(est.unit, unit(whitener @ u), rtol=0, atol=1e-12)
 
 
 def mom_three_centrings(x, alpha1):
@@ -318,7 +318,7 @@ class TestWhiten:
         rng = np.random.default_rng(38)
         x = rng.standard_normal((500, 4)) @ rng.standard_normal((4, 4))
         wh = whiten(DataSet(observations=x))
-        z = wh.whitened
+        z = wh.member("whiten", None)[2]
         np.testing.assert_allclose(z.mean(axis=0), np.zeros(4), atol=1e-10)
         np.testing.assert_allclose(z.T @ z / len(z), np.eye(4), atol=1e-10)
 
@@ -326,15 +326,17 @@ class TestWhiten:
         ds = sample(reference_params(), 500, np.random.default_rng(39))
         wh = whiten(ds)
         assert whiten(ds) is wh and ds.whitening is wh
-        assert wh.tk is wh.tk
+        assert wh.member("tk", None)[0] is wh.member("tk", None)[0]
+        *_, c3, symmetric = wh.member("whiten", None)
         # c3_k = (1/n) sum_i ||z_i||^2 z_ik is the trace of T_k
-        np.testing.assert_allclose(np.trace(wh.tk, axis1=1, axis2=2),
-                                   wh.c3, atol=1e-12)
-        assert not wh.symmetric
+        np.testing.assert_allclose(np.trace(wh.member("tk", None)[0], axis1=1, axis2=2),
+                                   c3, atol=1e-12)
+        assert not symmetric
 
     def test_c3_is_third_moment_of_whitened_rows(self):
         wh = whiten(sample(skewed_params(), 500, np.random.default_rng(41)))
-        np.testing.assert_array_equal(wh.c3, third_moment(wh.whitened))
+        _, _, z, c3, _ = wh.member("whiten", None)
+        np.testing.assert_array_equal(c3, third_moment(z))
 
     def test_singular_covariance_raises(self):
         x = np.zeros((10, 2))
