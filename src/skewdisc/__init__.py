@@ -6,9 +6,8 @@ from .errors import (ConfigError, DegenerateSkewnessError, Error,
                      NearSingularError, NonFiniteError,
                      SupervisionRequiredError, SymmetryError,
                      WeightDivergenceError, WorkerError)
-from .estimators import (DirectionEstimate, Whitening, align_sign, est_jade3,
-                         est_lda, est_mom, est_pp, est_skewvec, est_tobi,
-                         whiten)
+from .estimators import (DirectionEstimate, align_sign, est_jade3, est_lda,
+                         est_mom, est_pp, est_skewvec, est_tobi, whiten)
 from .model import (DataSet, DerivedParams, MixtureParams, PopulationMoments,
                     derive, population_moments, sample)
 from .moments import sample_moments, third_moment, tk_slices, tobi_matrix
@@ -22,7 +21,7 @@ __all__ = [
     "DirectionEstimate", "Error", "ExperimentConfig", "MixtureParams",
     "NearSingularError", "NonFiniteError", "PopulationMoments",
     "SupervisionRequiredError", "SymmetryError", "WeightDivergenceError",
-    "Whitening", "WorkerError", "align_sign", "avar_ae", "avar_mom",
+    "WorkerError", "align_sign", "avar_ae", "avar_mom",
     "c0_constant", "c_lda", "c_skewvec", "chat_experiment", "derive",
     "est_jade3", "est_lda", "est_mom", "est_pp", "est_skewvec", "est_tobi",
     "msi", "msi_experiment", "population_moments", "rng_stream", "sample",

@@ -16,16 +16,16 @@ plug-in (PP). SKEWVEC, TOBI and JADE3 are affine equivariant; their
 estimates are defined up to sign, which align_sign resolves against a
 reference vector.
 
-Every method reads the record of its DataSet (Whitening), whose stages run
-on first use for every member of a stacked DataSet at once: the whitening,
-centring and third moments of whiten(data), the cached T (tk) and TOBI pair
-(tobi) that JADE3 starts from, MOM's centred moments and LDA's class moments.
-The est_* functions, the fixed-point loop JADE3 and PP share and the reports
-stay per member. JADE3 and PP step on T: PP's step mean((u'z)^2 z) = T(., u, u)
-is the coefficient vector of JADE3's. METHODS, the one method table, is what
-the CLI and simulations dispatch through. Every method works on the data times
-2^-e, e = linalg._exponent(x) (of x - mean for MOM), so unit is the same bits
-at any power-of-two scale of the data.
+Every method reads the record of its DataSet (Whitening) one member at a
+time through Whitening.member. Its stages run on first use for every member
+at once, an unstacked DataSet being a stack of one: whiten, the cached T (tk)
+and TOBI pair (tobi) that JADE3 starts from, MOM's centred moments and LDA's
+class moments. The est_* functions, the fixed-point loop JADE3 and PP share
+and the reports stay per member. JADE3 and PP step on T: PP's step
+mean((u'z)^2 z) = T(., u, u) is the coefficient vector of JADE3's. METHODS,
+the one method table, is what the CLI and simulations dispatch through. Every
+method works on the data times 2^-e, e = linalg._exponent(x) (of x - mean for
+MOM), so unit is the same bits at any power-of-two scale of the data.
 """
 
 import math
@@ -75,17 +75,14 @@ class DirectionEstimate:
 
 class Whitening:
     """The record of one DataSet x, kept on it: named stages, each computed
-    on first use for every member of a stacked DataSet by one call of the
-    layer functions. A stage that raises is run again member by member, each
-    member a stack of one, so every member keeps its own values or its own
-    error, which is raised again on every later use; a member's values have
-    the same bits in any stack. The stages, each on y = x 2^-exponent:
+    on first use for every member of the DataSet by one call of the layer
+    functions. An unstacked DataSet is kept as a stack of one. A stage that
+    raises is run again member by member, each member a stack of one, so
+    every member keeps its own values or its own error, which is raised
+    again on every later use; a member's values have the same bits in any
+    stack. The stages, each on y = x 2^-exponent:
 
-    whiten  exponent; whitener = C2^{-1/2} of the sample covariance of y
-            (divisor n); the whitened rows z_i = whitener @ (y_i - mean(y)),
-            p-major; c3 = third_moment(z) (only MOM takes the raw data's);
-            whether ||c3|| is below skewness_floor(p) (affine invariant, as
-            the whitened covariance trace is p)
+    whiten  whiten(x): e, whitener, the whitened rows z, c3, symmetric
     tk      the T_k slices of z as one (p, p, p) array per member
     tobi    tobi_unit(tk)
     mom     MOM's centred moments: its e + f; c2 and c3 of the data centred
@@ -97,8 +94,10 @@ class Whitening:
 
     def __init__(self, data):
         self._stacked = data.observations.ndim == 3
-        self._blocks = {None: [(0, len(data.observations) if self._stacked else 1,
-                                (data.observations, data.labels))]}
+        x, labels = data.observations, data.labels
+        if not self._stacked:
+            x, labels = x[None], None if labels is None else labels[None]
+        self._blocks = {None: [(0, len(x), (x, labels))]}
         self._members = {}
 
     def _run(self, name):
@@ -111,8 +110,7 @@ class Whitening:
         blocks = self._blocks[name] = [block for lo, hi, value in self._blocks[source]
                                        for block in _computed(compute, lo, hi, value)]
         self._members[name] = [
-            value if isinstance(value, Exception) or not self._stacked
-            else tuple(v[i] for v in value)
+            value if isinstance(value, Exception) else tuple(v[i] for v in value)
             for lo, hi, value in blocks for i in range(hi - lo)]
 
     def member(self, name, b):
@@ -170,55 +168,51 @@ def skewness_floor(c2_trace):
     return 1e-10 * c2_trace * c2_trace ** 0.5
 
 
-def whiten(data, member=None):
-    """Center and whiten a dataset, scaled as Whitening states, by the
-    inverse square root of its sample covariance (divisor n), and take the
-    third moments of the whitened rows, for every member of a stack at once.
-    member is the index of a stacked DataSet's member, None for an unstacked
-    one, as in Whitening.member. Returns the record of data, which is built
-    once per DataSet and kept on it; its observations must not change
-    afterwards.
+def _scaled(x):
+    # x as observations, its exponent e = _exponent(x, (-2, -1)), x 2^-e and
+    # whether every row is the same, all from the column ranges. Such a
+    # sample's covariance is 0, not its mean's rounding residual squared,
+    # which inv_sqrt's relative floor cannot refuse at p = 1.
+    x = mom._observations(x)
+    hi, lo = x.max(axis=-2), x.min(axis=-2)
+    e = np.frexp(np.maximum(hi.max(axis=-1), -lo.min(axis=-1)))[1]
+    return e, np.ldexp(x, -e[..., None, None]), (hi == lo).all(axis=-1)
 
-    Raises
-    ------
-    NearSingularError
-        If the sample covariance of member is numerically singular.
+
+def whiten(x):
+    """Center and whiten an n x p array x, or each member of a (B, n, p)
+    stack, and take the third moments of the whitened rows.
+
+    Returns (e, whitener, z, c3, symmetric), the stack axis leading: the
+    exponent e of x; whitener = C2^{-1/2} of the sample covariance (divisor
+    n) of y = x 2^-e; the whitened rows z_i = whitener @ (y_i - mean(y)),
+    p-major; c3 = third_moment(z); whether ||c3|| is below skewness_floor(p)
+    (affine invariant, as the whitened covariance trace is p). Raises
+    ValueError for an x of another shape, NearSingularError for a
+    numerically singular covariance, as when every row is the same.
     """
-    record = _record(data)
-    record.member("whiten", member)
-    return record
-
-
-def _whitening(x):
-    # The whiten stage of Whitening, for x of shape (..., n, p).
-    e = _exponent(x, (-2, -1))
-    y = np.ldexp(x, -e[..., None, None])
+    e, y, constant = _scaled(x)
     mean, c2 = mom.sample_moments(y)
-    whitener = inv_sqrt(c2)
+    whitener = inv_sqrt(c2 * ~constant[..., None, None])
     y -= mean[..., None, :]
     z = (whitener @ y.swapaxes(-1, -2)).swapaxes(-1, -2)
     del y  # before third_moment's n x p temporary
     c3 = mom.third_moment(z)
-    return e, whitener, z, c3, np.sqrt((c3 * c3).sum(axis=-1)) < skewness_floor(x.shape[-1])
+    return e, whitener, z, c3, np.sqrt((c3 * c3).sum(axis=-1)) < skewness_floor(z.shape[-1])
 
 
 def _centred_moments(x):
     # The mom stage: scaled before centring, so the mean cannot overflow;
     # e + f is the exponent of x - mean. A constant sample, every row the
     # same, counts as symmetric: centring leaves zeros, or in every row the
-    # one rounding residual of the mean, which 2^-f would blow up. e is
-    # _exponent(x, (-2, -1)), taken from the column ranges the check reads.
-    x = mom._observations(x)
-    hi, lo = x.max(axis=-2), x.min(axis=-2)
-    e = np.frexp(np.maximum(hi.max(axis=-1), -lo.min(axis=-1)))[1]
-    xc = np.ldexp(x, -e[..., None, None])
+    # one rounding residual of the mean, which 2^-f would blow up.
+    e, xc, constant = _scaled(x)
     xc -= xc.mean(axis=-2)[..., None, :]
     f = _exponent(xc, (-2, -1))
     np.ldexp(xc, -f[..., None, None], out=xc)
     c2, c3 = mom.second_moment(xc), mom.third_moment(xc)
     trace = np.trace(c2, axis1=-2, axis2=-1)
-    return e + f, c2, c3, ((np.sqrt((c3 * c3).sum(axis=-1)) < skewness_floor(trace))
-                           | (hi == lo).all(axis=-1))
+    return e + f, c2, c3, (np.sqrt((c3 * c3).sum(axis=-1)) < skewness_floor(trace)) | constant
 
 
 def _class_direction(x, labels):
@@ -227,8 +221,7 @@ def _class_direction(x, labels):
     # each row's class mean (exactly: its other term is 0), so y is centred in
     # place, a coordinate at a time to keep temporaries small, for the pooled
     # within-class covariance.
-    e = _exponent(x, (-2, -1))
-    y = np.ldexp(x, -e[..., None, None])
+    e, y, constant = _scaled(x)
     classes = np.stack((labels == -1, labels == 1), axis=-2).astype(float)
     counts = classes.sum(axis=-1)
     if (counts < 2).any():
@@ -236,7 +229,7 @@ def _class_direction(x, labels):
     means = y.swapaxes(-1, -2) @ classes.swapaxes(-1, -2) / counts[..., None, :]
     for j, row in enumerate(np.moveaxis(y, -1, 0)):
         row -= (means[..., j, None, :] @ classes)[..., 0, :]
-    root = inv_sqrt(mom.second_moment(y))
+    root = inv_sqrt(mom.second_moment(y) * ~constant[..., None, None])
     return e, (root @ (root @ (means[..., 1] - means[..., 0])[..., None]))[..., 0]
 
 
@@ -263,7 +256,7 @@ def mom_direction(c2, c3, alpha1):
 
 def est_mom(data, alpha1, member=None):
     """Method-of-moments estimate; requires the true weight alpha1. It
-    refuses the data that whiten refuses, so every method gives a
+    refuses the data that the whiten stage refuses, so every method gives a
     near-singular covariance the same error.
 
     Raises
@@ -282,7 +275,7 @@ def est_mom(data, alpha1, member=None):
         raise DegenerateSkewnessError(
             "sample third moment is numerically zero; the sample looks symmetric"
         )
-    whiten(data, member)
+    _record(data).member("whiten", member)
     return _estimate(mom_direction(c2, c3, alpha1), e, MOM)
 
 
@@ -307,7 +300,7 @@ def est_skewvec(data, member=None):
     DegenerateSkewnessError
         If the whitened third moment is below the degeneracy floor.
     """
-    e, whitener, _, c3, symmetric = whiten(data, member).member("whiten", member)
+    e, whitener, _, c3, symmetric = _record(data).member("whiten", member)
     return _estimate(skewvec_direction(whitener, _skewed(c3, symmetric)), e, SKEWVEC)
 
 
@@ -337,7 +330,7 @@ def est_tobi(data, member=None):
     """Third-order blind identification estimate: whitener times the
     leading eigenvector of the squared-slice sum; raises as tobi_unit
     does. A tied leading eigenvalue is reported through notes, not raised."""
-    wh = whiten(data, member)
+    wh = _record(data)
     e, whitener = wh.member("whiten", member)[:2]
     u, ambiguous = wh.member("tobi", member)
     notes = ("ambiguous leading eigenvalue",) if ambiguous else ()
@@ -409,7 +402,7 @@ def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
 def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None, member=None):
     """3-JADE estimate, started from the TOBI eigenvector of the same
     whitened slices (so it raises where TOBI does); restarts draw from rng."""
-    wh = whiten(data, member)
+    wh = _record(data)
     e, whitener = wh.member("whiten", member)[:2]
     init, ambiguous = wh.member("tobi", member)
     notes = ("ambiguous leading eigenvalue in init",) if ambiguous else ()
@@ -452,7 +445,7 @@ def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None, member=No
     DegenerateSkewnessError
         If the whitened third moment is below the degeneracy floor.
     """
-    wh = whiten(data, member)
+    wh = _record(data)
     e, whitener, _, c3, symmetric = wh.member("whiten", member)
     u, converged, iterations, notes = _fixed_point(
         wh.member("tk", member)[0], lambda tu, coef: (coef, None), _skewed(c3, symmetric),
@@ -507,7 +500,7 @@ METHODS = {
 #: The stages of Whitening: name -> (the stage whose values it takes, None
 #: for the observations and labels, and the function of them that computes it).
 _STAGES = {
-    "whiten": (None, lambda x, labels: _whitening(x)),
+    "whiten": (None, lambda x, labels: whiten(x)),
     "tk": ("whiten", lambda e, whitener, z, c3, symmetric: (mom.tk_slices(z),)),
     "tobi": ("tk", lambda tk: tobi_unit(tk)),
     "mom": (None, lambda x, labels: _centred_moments(x)),

@@ -117,7 +117,8 @@ class DataSet:
     observations are kept p-major: each member's p columns lie contiguous
     over its n rows (an array laid out otherwise is copied so). whitening
     keeps the record of stages that estimators build, for every later
-    estimator and every member.
+    estimator and every member; it holds an unstacked DataSet as a stack
+    of one.
     """
 
     observations: np.ndarray

@@ -426,6 +426,19 @@ class TestEstimate:
             assert len(err.splitlines()) == 1, method
             assert json.loads(err)["error"] == "NearSingularError", method
 
+    def test_one_constant_column_refused_by_every_method(self, tmp_path, capsys):
+        # seven rows of 0.1: the mean rounds, so the 1 x 1 covariance is the
+        # square of its residual, which no relative eigenvalue floor can see
+        data = DataSet(np.full((7, 1), 0.1), labels=np.array([1, -1, 1, -1, 1, -1, 1]))
+        path = write_dataset(tmp_path / "flat.csv", data, with_labels=True)
+        for method, error in [("mom", "DegenerateSkewnessError")] + [
+                (m, "NearSingularError") for m in ("skewvec", "tobi", "jade3", "lda", "pp")]:
+            extra = ["--alpha1", "0.7"] if method == "mom" else []
+            code, out, err = run_cli(["estimate", path, "--method", method] + extra, capsys)
+            assert code == 1 and out == "", method
+            assert len(err.splitlines()) == 1, method
+            assert json.loads(err)["error"] == error, method
+
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1.0,2.0\n3.0\n")

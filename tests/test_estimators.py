@@ -13,7 +13,7 @@ from skewdisc.errors import (DegenerateSkewnessError, NearSingularError,
                              NonFiniteError, SupervisionRequiredError)
 from skewdisc.estimators import (DEFAULT_MAX_ITER, DEFAULT_TOL, JADE3, LDA,
                                  METHODS, MOM, PP, SKEWVEC, TOBI,
-                                 DirectionEstimate, _fixed_point, align_sign,
+                                 DirectionEstimate, _fixed_point, _record, align_sign,
                                  est_jade3, est_lda, est_mom,
                                  est_pp, est_skewvec, est_tobi, jade3_unit,
                                  mom_direction, skewness_floor,
@@ -220,7 +220,7 @@ class TestTensorSteps:
 
     @pytest.mark.parametrize("p", [3, 10, 30])
     def test_pp_step_is_data_pass(self, p):
-        wh = whiten(random_aat_sample(p, 2000, p))
+        wh = _record(random_aat_sample(p, 2000, p))
         z = wh.member("whiten", None)[2]
         for u in np.random.default_rng(p).standard_normal((5, p)):
             u = unit(u)
@@ -230,7 +230,7 @@ class TestTensorSteps:
 
     @pytest.mark.parametrize("p", [3, 10, 30])
     def test_jade3_step_is_slice_sum(self, p):
-        tk = whiten(random_aat_sample(p, 2000, p)).member("tk", None)[0]
+        tk = _record(random_aat_sample(p, 2000, p)).member("tk", None)[0]
         u = unit(np.random.default_rng(p).standard_normal(p))
         tu, coef = first_step(tk, u)
         want = sum((u @ s @ u) * (s @ u) for s in tk)
@@ -240,7 +240,7 @@ class TestTensorSteps:
     def test_pp_matches_data_pass_iteration(self, seed):
         # reference: the PP fixed point by passes over the whitened data
         ds = sample(reference_params(), 5000, np.random.default_rng(seed))
-        wh = whiten(ds)
+        wh = _record(ds)
         _, whitener, z, c3, _ = wh.member("whiten", None)
         u = unit(c3)
         for iterations in range(1, DEFAULT_MAX_ITER + 1):
@@ -317,15 +317,17 @@ class TestWhiten:
     def test_whitened_covariance_is_identity(self):
         rng = np.random.default_rng(38)
         x = rng.standard_normal((500, 4)) @ rng.standard_normal((4, 4))
-        wh = whiten(DataSet(observations=x))
+        wh = _record(DataSet(observations=x))
         z = wh.member("whiten", None)[2]
         np.testing.assert_allclose(z.mean(axis=0), np.zeros(4), atol=1e-10)
         np.testing.assert_allclose(z.T @ z / len(z), np.eye(4), atol=1e-10)
 
     def test_record_kept_on_dataset(self):
         ds = sample(reference_params(), 500, np.random.default_rng(39))
-        wh = whiten(ds)
-        assert whiten(ds) is wh and ds.whitening is wh
+        est_skewvec(ds)
+        wh = ds.whitening
+        est_tobi(ds)
+        assert _record(ds) is wh and ds.whitening is wh
         assert wh.member("tk", None)[0] is wh.member("tk", None)[0]
         *_, c3, symmetric = wh.member("whiten", None)
         # c3_k = (1/n) sum_i ||z_i||^2 z_ik is the trace of T_k
@@ -334,7 +336,7 @@ class TestWhiten:
         assert not symmetric
 
     def test_c3_is_third_moment_of_whitened_rows(self):
-        wh = whiten(sample(skewed_params(), 500, np.random.default_rng(41)))
+        wh = _record(sample(skewed_params(), 500, np.random.default_rng(41)))
         _, _, z, c3, _ = wh.member("whiten", None)
         np.testing.assert_array_equal(c3, third_moment(z))
 
@@ -342,7 +344,7 @@ class TestWhiten:
         x = np.zeros((10, 2))
         x[:, 0] = np.arange(10.0)
         with pytest.raises(NearSingularError):
-            whiten(DataSet(observations=x))
+            whiten(x)
 
 
 def mirrored_dataset(seed=40, n_half=200, p=3):

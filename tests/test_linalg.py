@@ -160,7 +160,7 @@ class TestCallersMeetPrecondition:
         # eigensolve and LDA's pooled covariance root; derive takes none
         assert len(seen) == 4 * draws
         for m in seen:
-            assert np.isfinite(m).all() and np.array_equal(m, m.T)
+            assert np.isfinite(m).all() and np.array_equal(m, np.swapaxes(m, -1, -2))
 
 
 class TestProjectorPair:

@@ -411,8 +411,9 @@ class TestSharedWhitening:
 
     def run_six(self, monkeypatch):
         calls = {}
-        for home, name in ((linalg, "inv_sqrt"), (moments, "tk_slices"),
-                           (moments, "tobi_matrix"), (linalg, "sym_eigen")):
+        for home, name in ((linalg, "inv_sqrt"), (estimators, "whiten"),
+                           (moments, "tk_slices"), (moments, "tobi_matrix"),
+                           (linalg, "sym_eigen")):
             count_calls(monkeypatch, calls, home, name)
         cfg = small_config(p=3, methods=ALL_SIX, reps=2, n_grid=(600,))
         (results,) = _replicates(cfg, _chat_draw, 0, (0.7, 8.0, 600), [0])
@@ -421,6 +422,10 @@ class TestSharedWhitening:
 
     def test_inv_sqrt_once_for_whitening_once_for_lda(self, monkeypatch):
         assert self.run_six(monkeypatch)["inv_sqrt"] == 2
+
+    def test_whitened_once(self, monkeypatch):
+        # the five methods that whiten read one whiten stage of the replicate
+        assert self.run_six(monkeypatch)["whiten"] == 1
 
     def test_tk_slices_built_once(self, monkeypatch):
         assert self.run_six(monkeypatch)["tk_slices"] == 1

@@ -122,6 +122,24 @@ def test_an_unstacked_dataset_is_a_stack_of_one():
         assert outcomes(alone, None) == outcomes(data, b)
 
 
+def test_whiten_gives_each_member_its_rows_alone():
+    params = model.MixtureParams(alpha1=0.7, mu1=[-0.6, 0.0, 0.0], mu2=[1.4, 0.0, 0.0],
+                                 sigma=np.diag([1.0, 4.0, 0.25]))
+    stack = model.sample(params, 200, [rng_stream(5, m) for m in range(4)]).observations
+    values = estimators.whiten(stack)
+    for b, rows in enumerate(stack):
+        alone = estimators.whiten(rows)
+        for got, want in zip(values, alone):
+            assert np.shape(got[b]) == np.shape(want)
+            assert np.asarray(got[b]).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(50,), (2, 1, 50, 3)])
+def test_whiten_refuses_other_shapes(shape):
+    with pytest.raises(ValueError, match="n x p array"):
+        estimators.whiten(np.ones(shape))
+
+
 def data_params():
     return model.MixtureParams(alpha1=0.7, mu1=[0.0, 0.0], mu2=[2.0, 0.0], sigma=np.eye(2))
 
@@ -135,5 +153,3 @@ def test_member_index_matches_the_data():
     for method in estimators.METHODS.values():
         with pytest.raises(ValueError, match="member index"):
             method.run(stack, 0.7)
-    with pytest.raises(ValueError, match="member index"):
-        estimators.whiten(stack)
