@@ -213,9 +213,6 @@ def _cmd_estimate(args):
                          f"got {args.max_iter} and {args.tol}")
     _require_file(args.input)
     data = load_csv(args.input)
-    if method.needs_labels and data.labels is None:
-        raise SupervisionRequiredError(
-            f"method {args.method} needs a 'label' column in {args.input}")
     rng = None if args.seed is None else np.random.default_rng(args.seed)
     # Overflow shows up as a typed error, not as loose warnings on stderr.
     with np.errstate(all="ignore"):

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import moments as mom
 from .asymptotics import c0_constant, c_lda, c_skewvec
-from .errors import DegenerateSkewnessError, Error, NonFiniteError, SupervisionRequiredError
+from .errors import (DegenerateSkewnessError, Error, NearSingularError, NonFiniteError,
+                     SupervisionRequiredError)
 from .linalg import _exponent, _norm, inv_sqrt, sym_eigen
 
 MOM = "MOM"
@@ -86,8 +87,8 @@ class Whitening:
     tk      the T_k slices of z as one (p, p, p) array per member
     tobi    tobi_unit(tk)
     mom     MOM's centred moments: its e + f; c2 and c3 of the data centred
-            and scaled by 2^-(e + f); whether ||c3|| is below
-            skewness_floor(trace c2)
+            and scaled by 2^-(e + f); raises DegenerateSkewnessError where
+            ||c3|| is at most skewness_floor(trace c2)
     lda     LDA's exponent and direction
 
     member(name, b) reads them, one member at a time."""
@@ -169,14 +170,16 @@ def skewness_floor(c2_trace):
 
 
 def _scaled(x):
-    # x as observations, its exponent e = _exponent(x, (-2, -1)), x 2^-e and
-    # whether every row is the same, all from the column ranges. Such a
-    # sample's covariance is 0, not its mean's rounding residual squared,
-    # which inv_sqrt's relative floor cannot refuse at p = 1.
+    # x as observations, its exponent e = _exponent(x, (-2, -1)) and y = x 2^-e,
+    # both from the column ranges, with y zeroed where every row is the same:
+    # such a sample's moments are then 0, not powers of its mean's rounding
+    # residual, which inv_sqrt's relative floor cannot refuse at p = 1.
     x = mom._observations(x)
     hi, lo = x.max(axis=-2), x.min(axis=-2)
     e = np.frexp(np.maximum(hi.max(axis=-1), -lo.min(axis=-1)))[1]
-    return e, np.ldexp(x, -e[..., None, None]), (hi == lo).all(axis=-1)
+    y = np.ldexp(x, -e[..., None, None])
+    y[(hi == lo).all(axis=-1)] = 0.0
+    return e, y
 
 
 def whiten(x):
@@ -191,9 +194,9 @@ def whiten(x):
     ValueError for an x of another shape, NearSingularError for a
     numerically singular covariance, as when every row is the same.
     """
-    e, y, constant = _scaled(x)
+    e, y = _scaled(x)
     mean, c2 = mom.sample_moments(y)
-    whitener = inv_sqrt(c2 * ~constant[..., None, None])
+    whitener = inv_sqrt(c2)
     y -= mean[..., None, :]
     z = (whitener @ y.swapaxes(-1, -2)).swapaxes(-1, -2)
     del y  # before third_moment's n x p temporary
@@ -203,16 +206,18 @@ def whiten(x):
 
 def _centred_moments(x):
     # The mom stage: scaled before centring, so the mean cannot overflow;
-    # e + f is the exponent of x - mean. A constant sample, every row the
-    # same, counts as symmetric: centring leaves zeros, or in every row the
-    # one rounding residual of the mean, which 2^-f would blow up.
-    e, xc, constant = _scaled(x)
+    # e + f is the exponent of x - mean. It refuses a sample whose ||c3|| is at
+    # most skewness_floor(trace c2), a constant one too: _scaled zeroed it.
+    e, xc = _scaled(x)
     xc -= xc.mean(axis=-2)[..., None, :]
     f = _exponent(xc, (-2, -1))
     np.ldexp(xc, -f[..., None, None], out=xc)
     c2, c3 = mom.second_moment(xc), mom.third_moment(xc)
     trace = np.trace(c2, axis1=-2, axis2=-1)
-    return e + f, c2, c3, (np.sqrt((c3 * c3).sum(axis=-1)) < skewness_floor(trace)) | constant
+    if (np.sqrt((c3 * c3).sum(axis=-1)) <= skewness_floor(trace)).any():
+        raise DegenerateSkewnessError(
+            "sample third moment is numerically zero; the sample looks symmetric")
+    return e + f, c2, c3
 
 
 def _class_direction(x, labels):
@@ -220,16 +225,21 @@ def _class_direction(x, labels):
     # product gives the class sums of y = x 2^-e and one more per coordinate
     # each row's class mean (exactly: its other term is 0), so y is centred in
     # place, a coordinate at a time to keep temporaries small, for the pooled
-    # within-class covariance.
-    e, y, constant = _scaled(x)
+    # within-class covariance, 0 where each row equals its class's first (tested
+    # until every member varies), not rounding residuals that inv_sqrt passes.
+    e, y = _scaled(x)
     classes = np.stack((labels == -1, labels == 1), axis=-2).astype(float)
     counts = classes.sum(axis=-1)
     if (counts < 2).any():
         raise ValueError("each class must occupy at least 2 rows")
     means = y.swapaxes(-1, -2) @ classes.swapaxes(-1, -2) / counts[..., None, :]
+    firsts = np.take_along_axis(y, classes.argmax(-1)[..., None], -2).swapaxes(-1, -2)
+    varies = np.zeros(y.shape[:-2], bool)
     for j, row in enumerate(np.moveaxis(y, -1, 0)):
+        if not varies.all():
+            varies |= (row != (firsts[..., j, None, :] @ classes)[..., 0, :]).any(-1)
         row -= (means[..., j, None, :] @ classes)[..., 0, :]
-    root = inv_sqrt(mom.second_moment(y) * ~constant[..., None, None])
+    root = inv_sqrt(mom.second_moment(y) * varies[..., None, None])
     return e, (root @ (root @ (means[..., 1] - means[..., 0])[..., None]))[..., 0]
 
 
@@ -251,7 +261,10 @@ def mom_direction(c2, c3, alpha1):
     nc3 = float(_norm(c3))  # a Python float: the same powers, at less call overhead
     inner = c2 - beta ** (1 / 3) * gamma ** (-2 / 3) * nc3 ** (-4 / 3) * (c3[:, None] * c3)
     rhs = beta ** (-1 / 3) * gamma ** (-1 / 3) * nc3 ** (-2 / 3) * c3
-    return np.linalg.solve(inner, rhs)
+    try:
+        return np.linalg.solve(inner, rhs)
+    except np.linalg.LinAlgError:
+        raise NearSingularError("MOM's inner matrix is singular") from None
 
 
 def est_mom(data, alpha1, member=None):
@@ -264,17 +277,11 @@ def est_mom(data, alpha1, member=None):
     DegenerateSkewnessError
         If the sample third moment is below the degeneracy floor.
     NearSingularError
-        If the sample covariance is numerically singular.
-    numpy.linalg.LinAlgError
-        If the inner matrix is singular.
+        If the sample covariance or the inner matrix is singular.
     NonFiniteError
         If the direction leaves double range.
     """
-    e, c2, c3, symmetric = _record(data).member("mom", member)
-    if symmetric:
-        raise DegenerateSkewnessError(
-            "sample third moment is numerically zero; the sample looks symmetric"
-        )
+    e, c2, c3 = _record(data).member("mom", member)
     _record(data).member("whiten", member)
     return _estimate(mom_direction(c2, c3, alpha1), e, MOM)
 
@@ -424,10 +431,10 @@ def est_lda(data, member=None):
     ValueError
         If either class occupies fewer than 2 rows.
     NearSingularError
-        If the pooled covariance is numerically singular.
+        If the pooled covariance is numerically singular, or each class constant.
     """
     if data.labels is None:
-        raise SupervisionRequiredError("LDA needs labeled data")
+        raise SupervisionRequiredError("LDA needs a 'label' column of -1 and 1")
     e, raw = _record(data).member("lda", member)
     return _estimate(raw, e, LDA)
 
@@ -474,8 +481,7 @@ def align_sign(est, reference):
 #: picks the member of a stack, alpha1 reaches only MOM, the fixed-point
 #: settings only JADE3 and PP. constant(alpha1, tau, p) is the
 #: limiting constant of n Var[t' unit] under identity covariance.
-Method = namedtuple("Method", "run needs_alpha1 needs_labels constant",
-                    defaults=(False, False, None))
+Method = namedtuple("Method", "run needs_alpha1 constant", defaults=(False, None))
 
 
 def _c0(alpha1, tau, p):
@@ -492,7 +498,7 @@ METHODS = {
     JADE3: Method(lambda data, alpha1, member=None, **fit: est_jade3(data, member=member, **fit),
                   constant=_c0),
     LDA: Method(lambda data, alpha1, member=None, **fit: est_lda(data, member),
-                needs_labels=True, constant=lambda alpha1, tau, p: c_lda(alpha1, tau)),
+                constant=lambda alpha1, tau, p: c_lda(alpha1, tau)),
     PP: Method(lambda data, alpha1, member=None, **fit: est_pp(data, member=member, **fit),
                constant=_c0),
 }

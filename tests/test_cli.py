@@ -365,6 +365,7 @@ class TestEstimate:
             ["estimate", sample_csv, "--method", "lda"], capsys)
         assert code == 2
         assert stderr_payload(err)["error"] == "SupervisionRequiredError"
+        assert "'label' column of -1 and 1" in stderr_payload(err)["message"]
 
     def test_degenerate_sample(self, tmp_path, capsys):
         r = np.random.default_rng(62).standard_normal((100, 3))

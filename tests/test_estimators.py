@@ -430,6 +430,17 @@ class TestDegenerateInputs:
     def test_skewness_floor_finite_at_huge_trace(self):
         assert skewness_floor(1e210) == pytest.approx(1e305)
 
+    def test_singular_inner_matrix_is_a_package_error(self):
+        # c2 = diag(kappa, 1) with kappa the rank-one term's coefficient at
+        # ||c3|| = 1, by mom_direction's own expression: the inner matrix is
+        # diag(0, 1) exactly
+        alpha1 = 0.7
+        alpha2 = 1.0 - alpha1
+        beta, gamma = alpha1 * alpha2, alpha1 - alpha2
+        kappa = beta ** (1 / 3) * gamma ** (-2 / 3) * 1.0 ** (-4 / 3)
+        with pytest.raises(NearSingularError, match="inner matrix"):
+            mom_direction(np.diag([kappa, 1.0]), np.array([1.0, 0.0]), alpha1)
+
     def test_mom_alpha_validation(self):
         ds = sample(reference_params(), 100, np.random.default_rng(41))
         for bad in (0.5, 1.0, 0.2):

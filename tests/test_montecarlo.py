@@ -12,7 +12,7 @@ import pytest
 
 from skewdisc import estimators, linalg, model, moments, montecarlo
 from skewdisc.asymptotics import c0_constant, c_lda, c_skewvec
-from skewdisc.errors import ConfigError, WorkerError
+from skewdisc.errors import ConfigError, NearSingularError, WorkerError
 from skewdisc.estimators import align_sign
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_MODES,
                                  SIGMA_RANDOM_AAT, ExperimentConfig,
@@ -301,6 +301,24 @@ class TestMsiExperiment:
             by_n = {r["n"]: r["mean_msi"] for r in rows
                     if r["method"] == method}
             assert by_n[500] <= by_n[4000], method
+
+    def test_largest_separation_is_singular_for_every_method(self):
+        # at tau = 1e77 the component noise is below the rounding of the
+        # separated means: every method, MOM included, meets a numerically
+        # singular covariance on every replicate, and no row reports one
+        cfg = ExperimentConfig(p=3, alpha_grid=(0.7,), tau_grid=(1e77,), n_grid=(200,),
+                               reps=3, master_seed=9, methods=ALL_SIX,
+                               sigma_mode=SIGMA_RANDOM_AAT)
+        rngs = [rng_stream(cfg.master_seed, m) for m in range(cfg.reps)]
+        mixtures, _ = zip(*(_msi_draw(cfg, 0.7, 1e77, rng) for rng in rngs))
+        data = model.sample(mixtures, 200, rngs)
+        for b, rng in enumerate(rngs):
+            for method in ALL_SIX:
+                with pytest.raises(NearSingularError):
+                    estimators.METHODS[method].run(data, 0.7, member=b, rng=rng)
+        rows = msi_experiment(cfg)
+        assert sorted(r["method"] for r in rows) == sorted(ALL_SIX)
+        assert all(r["reps_used"] == 0 and r["reps_failed"] == 3 for r in rows)
 
     def test_supervised_tops_unsupervised(self):
         cfg = ExperimentConfig(p=3, alpha_grid=(0.7,), tau_grid=(8.0,),

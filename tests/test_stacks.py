@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from skewdisc import estimators, model
-from skewdisc.errors import Error
+from skewdisc.errors import Error, NearSingularError
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_RANDOM_AAT, ExperimentConfig,
                                  _chat_draw, _msi_draw, _replicates, rng_stream)
 
@@ -110,6 +110,28 @@ def test_a_failing_member_keeps_its_own_error(spoil, raised):
     failed = {tag: got for tag, got in zip(estimators.METHODS, outcomes(data, 2))
               if isinstance(got, str)}
     assert failed == raised
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_lda_refuses_classes_that_are_each_constant(p):
+    # every row equals its class's first, so the pooled within-class covariance
+    # is 0, not the class means' rounding residuals: with these class values
+    # inv_sqrt's relative floor alone would pass them and LDA would answer
+    labels = np.repeat([-1, 1], [13, 17])
+    spoilt = model.DataSet(
+        np.repeat(np.random.default_rng(0).uniform(-3.0, 3.0, (2, p)), [13, 17], axis=0),
+        labels=labels)
+    with pytest.raises(NearSingularError):
+        estimators.est_lda(spoilt)
+    rng = np.random.default_rng(80 + p)
+    rows = [model.DataSet(rng.standard_normal((30, p)) + labels[:, None], labels=labels)
+            for _ in range(3)]
+    rows[1] = spoilt
+    data = stack_of(rows)
+    for b, row in enumerate(rows):
+        assert outcomes(data, b) == outcomes(row, None), b
+    lda = list(estimators.METHODS).index("LDA")
+    assert [isinstance(outcomes(data, b)[lda], str) for b in range(3)] == [False, True, False]
 
 
 def test_an_unstacked_dataset_is_a_stack_of_one():
