@@ -146,6 +146,8 @@ def load_csv(path):
         if not _utf8(first):
             raise CsvFormatError(f"{path}: line 1: not valid UTF-8")
         header = [c.strip() for c in _loadtxt([first], dtype=str, ndmin=1)]
+        if header.count("label") > 1:
+            raise CsvFormatError(f"{path}: line 1: more than one 'label' column")
         label_col = header.index("label") if "label" in header else None
         feature_cols = [i for i in range(len(header)) if i != label_col]
         if not feature_cols:
@@ -212,6 +214,8 @@ def _cmd_estimate(args):
         raise UsageError("--max-iter must be at least 1 and --tol finite and > 0, "
                          f"got {args.max_iter} and {args.tol}")
     _require_file(args.input)
+    if args.output is not None:
+        _require_out_dir(args.output)
     data = load_csv(args.input)
     rng = None if args.seed is None else np.random.default_rng(args.seed)
     # Overflow shows up as a typed error, not as loose warnings on stderr.
@@ -230,8 +234,6 @@ def _cmd_estimate(args):
         "iterations": est.iterations,
         "notes": list(est.notes),
     }
-    if args.output is not None:
-        _require_out_dir(args.output)
     with (contextlib.nullcontext(sys.stdout) if args.output is None
           else open(args.output, "w", encoding="utf-8")) as out:
         # One key per line, each value by json's C encoder (indent= would force
@@ -316,7 +318,6 @@ def _cmd_constants(args):
 
 
 def _load_config(path):
-    _require_file(path)
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -338,7 +339,6 @@ def _load_config(path):
 def _write_table(path, columns, rows):
     import csv as csvmod
 
-    _require_out_dir(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csvmod.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -351,6 +351,8 @@ def _cmd_simulate(args):
     # to that name in this module sees the call.
     chat = args.subcommand == "simulate-chat"
     experiment = chat_experiment if chat else msi_experiment
+    _require_file(args.config)
+    _require_out_dir(args.out)
     rows = experiment(_load_config(args.config), workers=args.workers)
     _write_table(args.out, CHAT_COLUMNS if chat else MSI_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -28,6 +28,7 @@ non-converged replicates are excluded from the aggregates and counted in
 reps_failed.
 """
 
+import ctypes
 import functools
 import itertools
 import math
@@ -246,6 +247,19 @@ def _forked(run, k):
             os.waitpid(pid, 0)
 
 
+@functools.cache
+def _hold_heap():
+    # Each stack frees arrays of 240-480 KB, so glibc's dynamic thresholds trim
+    # the heap top after every stack and the next one faults the pages back in.
+    # Fix both at the values that rule reaches after one 32 MiB free (setting one
+    # freezes the other), once, before any fork, so workers inherit them.
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 26)  # M_TRIM_THRESHOLD
+
+
 def _rows(config, draw, workers, summary):
     """Run every replicate of every cell and reduce them to one row per
     (method, cell), sorted by (method, alpha1, tau, n). summary(method,
@@ -256,6 +270,7 @@ def _rows(config, draw, workers, summary):
             for ci, cell in enumerate(config.cells)
             for m in range(config.reps)]
     k = _share_count(min(workers, len(jobs)))
+    _hold_heap()
     # Job i goes to share i mod k, which spreads the costly replicates.
     shares = _forked(lambda s: _share(config, draw, jobs[s::k]), k)
     batches = [shares[i % k][i // k] for i in range(len(jobs))]

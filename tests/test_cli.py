@@ -360,6 +360,32 @@ class TestEstimate:
         assert code == 2
         assert stderr_payload(err)["error"] == "UsageError"
 
+    def test_missing_output_directory_refused_before_parsing(self, sample_csv, tmp_path,
+                                                             capsys, monkeypatch):
+        def parse(path):
+            raise AssertionError("the CSV was parsed before the output path was checked")
+
+        monkeypatch.setattr(cli, "load_csv", parse)
+        code, out, err = run_cli(["estimate", sample_csv, "--method", "tobi", "--output",
+                                  str(tmp_path / "no_dir" / "r.json")], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert stderr_payload(err)["error"] == "UsageError"
+
+    def test_two_label_columns_refused(self, tmp_path, capsys):
+        # Before, the second "label" became a feature without a word.
+        rng = np.random.default_rng(62)
+        path = tmp_path / "two-labels.csv"
+        np.savetxt(path, np.column_stack([rng.standard_normal((200, 2)),
+                                          rng.choice([-1, 1], 200), rng.exponential(size=200)]),
+                   fmt="%.17g", delimiter=",", header="x,y,label,label", comments="")
+        code, out, err = run_cli(["estimate", str(path), "--method", "tobi"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert stderr_payload(err) == {
+            "error": "CsvFormatError",
+            "message": f"{path}: line 1: more than one 'label' column"}
+
     def test_lda_without_labels(self, sample_csv, capsys):
         code, _, err = run_cli(
             ["estimate", sample_csv, "--method", "lda"], capsys)
@@ -795,6 +821,19 @@ class TestSimulate:
             ["simulate-chat", cfg, str(tmp_path / "no_dir" / "o.csv")],
             capsys)
         assert code == 2
+        assert stderr_payload(err)["error"] == "UsageError"
+
+    def test_missing_output_directory_refused_before_the_experiment(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def experiment(config, workers):
+            raise AssertionError("the experiment ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "chat_experiment", experiment)
+        cfg = write_config(tmp_path / "cfg.json")
+        code, out, err = run_cli(
+            ["simulate-chat", cfg, str(tmp_path / "no_dir" / "o.csv")], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
         assert stderr_payload(err)["error"] == "UsageError"
 
     def test_none_cells_serialized_empty(self, tmp_path, capsys):
