@@ -373,7 +373,6 @@ class TestEstimate:
         assert stderr_payload(err)["error"] == "UsageError"
 
     def test_two_label_columns_refused(self, tmp_path, capsys):
-        # Before, the second "label" became a feature without a word.
         rng = np.random.default_rng(62)
         path = tmp_path / "two-labels.csv"
         np.savetxt(path, np.column_stack([rng.standard_normal((200, 2)),
@@ -815,23 +814,15 @@ class TestSimulate:
         assert code == 2
         assert stderr_payload(err)["error"] == "UsageError"
 
-    def test_missing_output_directory(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json")
-        code, _, err = run_cli(
-            ["simulate-chat", cfg, str(tmp_path / "no_dir" / "o.csv")],
-            capsys)
-        assert code == 2
-        assert stderr_payload(err)["error"] == "UsageError"
-
-    def test_missing_output_directory_refused_before_the_experiment(self, tmp_path, capsys,
-                                                                    monkeypatch):
+    def test_missing_output_directory(self, tmp_path, capsys, monkeypatch):
         def experiment(config, workers):
             raise AssertionError("the experiment ran before the output path was checked")
 
         monkeypatch.setattr(cli, "chat_experiment", experiment)
         cfg = write_config(tmp_path / "cfg.json")
         code, out, err = run_cli(
-            ["simulate-chat", cfg, str(tmp_path / "no_dir" / "o.csv")], capsys)
+            ["simulate-chat", cfg, str(tmp_path / "no_dir" / "o.csv")],
+            capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert stderr_payload(err)["error"] == "UsageError"
