@@ -198,10 +198,12 @@ def _require_file(path):
         raise UsageError(f"input file does not exist: {path}")
 
 
-def _require_out_dir(path):
+def _require_out_path(path):
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise UsageError(f"output directory does not exist: {parent}")
+    if os.path.isdir(path):
+        raise UsageError(f"output path is a directory: {path}")
 
 
 def _cmd_estimate(args):
@@ -215,7 +217,7 @@ def _cmd_estimate(args):
                          f"got {args.max_iter} and {args.tol}")
     _require_file(args.input)
     if args.output is not None:
-        _require_out_dir(args.output)
+        _require_out_path(args.output)
     data = load_csv(args.input)
     rng = None if args.seed is None else np.random.default_rng(args.seed)
     # Overflow shows up as a typed error, not as loose warnings on stderr.
@@ -352,7 +354,7 @@ def _cmd_simulate(args):
     chat = args.subcommand == "simulate-chat"
     experiment = chat_experiment if chat else msi_experiment
     _require_file(args.config)
-    _require_out_dir(args.out)
+    _require_out_path(args.out)
     rows = experiment(_load_config(args.config), workers=args.workers)
     _write_table(args.out, CHAT_COLUMNS if chat else MSI_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")

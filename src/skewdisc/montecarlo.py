@@ -19,9 +19,9 @@ Replicates are independent jobs with their own deterministic random
 stream, run by up to workers processes (default 1), never more than the
 usable CPUs: the caller runs one share and forked workers the rest, or
 the caller all where there is no fork. A share draws its replicates of a
-cell as stacks of about 2^15 values, one DataSet each, so that the layer
-functions run once per stack; a replicate's results have the same bits in
-any stack. A replicate reduces each method to the one number its table
+cell as stacks of about 2^17 values, one DataSet each, so that the layer
+functions run once per stack; a replicate's results have the same bits
+in any stack. A replicate reduces each method to the one number its table
 reads, t' theta_hat / ||theta_hat|| or the MSI, and these reduce in
 replicate order, so tables are identical for any worker count. Failed or
 non-converged replicates are excluded from the aggregates and counted in
@@ -47,6 +47,13 @@ from .model import MixtureParams, sample
 SIGMA_IDENTITY = "identity"
 SIGMA_RANDOM_AAT = "random-aat"
 SIGMA_MODES = (SIGMA_IDENTITY, SIGMA_RANDOM_AAT)
+
+#: Values (n p per replicate) a stack of replicates holds at most, unless one
+#: replicate alone holds more. Each stack pays a fixed cost of about 0.8 ms at
+#: p = 3 and 2 ms at p = 30. At its peak, the LDA stage, it holds about 4.5
+#: arrays of its own size, at most 4.5 MiB; at 2^18 the msi-p30 benchmark's
+#: peak RSS rose 13%.
+_STACK_VALUES = 2 ** 17
 
 
 def _number(value, kind=(int, float)):
@@ -190,13 +197,12 @@ def _replicates(config, draw, cell_index, cell, reps):
 
 def _share(config, draw, jobs):
     """The entries of jobs [(cell_index, cell, rep)], in order. Each run of
-    one cell's jobs is cut into stacks of B = max(1, 2^15 // (n p))
-    replicates, so that a stack holds about 2^15 values, the rule tk_slices
-    blocks rows by."""
+    one cell's jobs is cut into stacks of B = max(1, _STACK_VALUES // (n p))
+    replicates."""
     out = []
     for (ci, cell), group in itertools.groupby(jobs, key=lambda job: job[:2]):
         reps = [m for _, _, m in group]
-        size = max(1, 2 ** 15 // (cell[2] * config.p))
+        size = max(1, _STACK_VALUES // (cell[2] * config.p))
         for i in range(0, len(reps), size):
             out += _replicates(config, draw, ci, cell, reps[i:i + size])
     return out
@@ -249,7 +255,7 @@ def _forked(run, k):
 
 @functools.cache
 def _hold_heap():
-    # Each stack frees arrays of 240-480 KB, so glibc's dynamic thresholds trim
+    # Each stack frees arrays of about 1 MB, so glibc's dynamic thresholds trim
     # the heap top after every stack and the next one faults the pages back in.
     # Fix both at the values that rule reaches after one 32 MiB free (setting one
     # freezes the other), once, before any fork, so workers inherit them.

@@ -372,6 +372,19 @@ class TestEstimate:
         assert len(err.splitlines()) == 1
         assert stderr_payload(err)["error"] == "UsageError"
 
+    def test_output_path_that_is_a_directory_refused_before_parsing(self, sample_csv,
+                                                                    tmp_path, capsys,
+                                                                    monkeypatch):
+        def parse(path):
+            raise AssertionError("the CSV was parsed before the output path was checked")
+
+        monkeypatch.setattr(cli, "load_csv", parse)
+        code, out, err = run_cli(["estimate", sample_csv, "--method", "tobi", "--output",
+                                  str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert stderr_payload(err)["error"] == "UsageError"
+
     def test_two_label_columns_refused(self, tmp_path, capsys):
         rng = np.random.default_rng(62)
         path = tmp_path / "two-labels.csv"
@@ -823,6 +836,17 @@ class TestSimulate:
         code, out, err = run_cli(
             ["simulate-chat", cfg, str(tmp_path / "no_dir" / "o.csv")],
             capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert stderr_payload(err)["error"] == "UsageError"
+
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        def experiment(config, workers):
+            raise AssertionError("the experiment ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "chat_experiment", experiment)
+        cfg = write_config(tmp_path / "cfg.json")
+        code, out, err = run_cli(["simulate-chat", cfg, str(tmp_path)], capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert stderr_payload(err)["error"] == "UsageError"

@@ -238,6 +238,24 @@ class TestChatExperiment:
         assert lone_rows == wide_rows
 
 
+@pytest.mark.parametrize("p,reps,sizes", [(3, 200, [21] * 9 + [11]), (30, 40, [2] * 20)],
+                         ids=["chat-p3", "msi-p30"])
+def test_a_stack_holds_at_most_2_17_values(monkeypatch, p, reps, sizes):
+    # B = 2^17 // (n p) replicates per stack at n = 2000, in replicate order
+    stacks = []
+
+    def replicates(config, draw, cell_index, cell, stack):
+        stacks.append(stack)
+        return [[None] * len(config.methods) for _ in stack]
+
+    monkeypatch.setattr(montecarlo, "_replicates", replicates)
+    cfg = small_config(p=p, n_grid=(2000,), reps=reps)
+    jobs = [(0, cfg.cells[0], m) for m in range(reps)]
+    assert len(montecarlo._share(cfg, _chat_draw, jobs)) == reps
+    assert [len(stack) for stack in stacks] == sizes
+    assert sum(stacks, []) == list(range(reps))
+
+
 @pytest.mark.parametrize("experiment,summary", [(chat_experiment, "c_hat"),
                                                 (msi_experiment, "mean_msi")])
 def test_non_converged_replicates_counted_as_failed(monkeypatch, experiment, summary):

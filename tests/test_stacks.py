@@ -7,10 +7,11 @@ import struct
 import numpy as np
 import pytest
 
-from skewdisc import estimators, model
+from skewdisc import estimators, model, montecarlo
 from skewdisc.errors import Error, NearSingularError
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_RANDOM_AAT, ExperimentConfig,
-                                 _chat_draw, _msi_draw, _replicates, rng_stream)
+                                 _chat_draw, _msi_draw, _replicates, chat_experiment,
+                                 msi_experiment, rng_stream)
 
 ALL_SIX = tuple(estimators.METHODS)
 
@@ -40,6 +41,21 @@ def test_statistics_do_not_depend_on_the_stack(p, seed):
     for reps in (list(range(cfg.reps)), [7, 2, 5], [0, 8, 3, 6, 1, 4]):
         for m, entries in zip(reps, _replicates(cfg, draw, 0, cell, reps)):
             assert bits(entries) == alone[m], (reps, m)
+
+
+@pytest.mark.parametrize("experiment,p,n_grid,reps,sigma_mode,partly_failed", [
+    # at n = 6 some members, not all, draw an LDA class of fewer than 2 rows
+    (chat_experiment, 3, (6, 2000), 30, SIGMA_IDENTITY, {"LDA"}),
+    (msi_experiment, 30, (2000,), 4, SIGMA_RANDOM_AAT, set()),
+], ids=["chat-p3", "msi-p30"])
+def test_tables_do_not_depend_on_the_stack_size(monkeypatch, experiment, p, n_grid, reps,
+                                                sigma_mode, partly_failed):
+    cfg = ExperimentConfig(p=p, alpha_grid=(0.7,), tau_grid=(4.0,), n_grid=n_grid,
+                           reps=reps, master_seed=4, methods=ALL_SIX, sigma_mode=sigma_mode)
+    stacked = experiment(cfg)
+    assert partly_failed <= {row["method"] for row in stacked if 0 < row["reps_failed"] < reps}
+    monkeypatch.setattr(montecarlo, "_STACK_VALUES", 1)  # one replicate per stack
+    assert repr(experiment(cfg)) == repr(stacked)
 
 
 def stack_of(rows):
