@@ -20,8 +20,8 @@ stream, run by up to workers processes (default 1), never more than the
 usable CPUs: the caller runs one share and forked workers the rest, or
 the caller all where there is no fork. A share draws its replicates of a
 cell as stacks of about 2^17 values, one DataSet each, so that the layer
-functions run once per stack; a replicate's results have the same bits
-in any stack. A replicate reduces each method to the one number its table
+functions run once per stack; a replicate's results have the same bits in
+any stack. A replicate reduces each method to the one number its table
 reads, t' theta_hat / ||theta_hat|| or the MSI, and these reduce in
 replicate order, so tables are identical for any worker count. Failed or
 non-converged replicates are excluded from the aggregates and counted in
