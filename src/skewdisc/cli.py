@@ -52,6 +52,9 @@ class UsageError(Error):
 #: The least body bytes per share when load_csv parses in forked processes.
 _SHARE_BYTES = 1 << 20
 
+#: The least scores per share when estimate formats its report in forked processes.
+_SCORE_SHARE = 2 ** 15
+
 #: The label column's tokens and their values; any other token is refused.
 _LABELS = {"-1": -1.0, "1": 1.0, "+1": 1.0}
 
@@ -137,9 +140,10 @@ def load_csv(path):
     """Read a headered feature CSV into a DataSet. A column named
     "label" (any position) becomes the labels; every other column must
     be numeric. A body is parsed in byte ranges of _SHARE_BYTES or more, at
-    most one per usable CPU, by forked processes. Bytes that are not UTF-8
-    fail at the line that holds them."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    most one per usable CPU, by forked processes. A UTF-8 byte-order mark
+    before the header is dropped; bytes that are not UTF-8 fail at the line
+    that holds them."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         first = fh.readline()
         if not first:
             raise CsvFormatError(f"{path}: line 1: empty file")
@@ -236,17 +240,28 @@ def _cmd_estimate(args):
         "iterations": est.iterations,
         "notes": list(est.notes),
     }
+    # The scores in contiguous ranges, the caller formatting the first and a
+    # forked child each other one; all before the report is opened, so that a
+    # failure leaves stdout empty and no file.
+    ranges = np.array_split(scores, _share_count(len(scores) // _SCORE_SHARE))
+
+    def share(s):
+        part = ranges[s]
+        return ", ".join(json.dumps(part[i:i + 4096].tolist())[1:-1]
+                         for i in range(0, len(part), 4096))
+
+    shares = _forked(share, len(ranges))
     with (contextlib.nullcontext(sys.stdout) if args.output is None
           else open(args.output, "w", encoding="utf-8")) as out:
         # One key per line, each value by json's C encoder (indent= would force
-        # the pure-Python one), so arrays stay inline; the scores last, written
-        # in slices, so that no string holds them all.
+        # the pure-Python one), so arrays stay inline; the scores last, one
+        # string per share, each of 4,096-value slices.
         out.write("{")
         for key, value in report.items():
             out.write(f"\n  {json.dumps(key)}: {json.dumps(value)},")
         out.write('\n  "scores": [')
-        for i in range(0, len(scores), 4096):
-            out.write((", " if i else "") + json.dumps(scores[i:i + 4096].tolist())[1:-1])
+        for s, text in enumerate(shares):
+            out.write((", " if s else "") + text)
         out.write("]\n}\n")
     return 0
 

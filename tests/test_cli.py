@@ -325,11 +325,12 @@ class TestEstimate:
         for line, (key, value) in zip(lines[1:-1], report.items()):
             assert line.rstrip(",") == f"  {json.dumps(key)}: {json.dumps(value)}"
 
-    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 100_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097, 8193, 100_000])
     def test_report_written_in_pieces(self, tmp_path, capsys, monkeypatch, n):
-        # the scores go out in slices of 4,096 values, yet the bytes are the
-        # whole report's json.dumps form, one key per line, on stdout and in
-        # --output alike, and stdout stays open; a fixed unit lets one row through
+        # the scores are formatted in slices of 4,096 values, one range per share,
+        # yet the bytes are the whole report's json.dumps form, one key per line,
+        # on stdout and in --output alike, for any share count, and stdout stays
+        # open; a fixed unit lets one row through
         unit = np.array([0.6, -0.8])
         fixed = estimators.DirectionEstimate(raw=unit, unit=unit, method="TOBI",
                                              converged=True, iterations=0, raw_norm=1.0)
@@ -345,13 +346,59 @@ class TestEstimate:
                   "scores": ((x - x.mean(axis=0)) @ unit).tolist()}
         want = "{\n" + ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
                                    for key, value in report.items()) + "\n}\n"
-        code, out, _ = run_cli(["estimate", str(path), "--method", "tobi"], capsys)
-        assert code == 0 and out == want
-        assert not sys.stdout.closed
-        code, out, _ = run_cli(["estimate", str(path), "--method", "tobi",
-                                "--output", str(tmp_path / "r.json")], capsys)
-        assert code == 0 and out == ""
-        assert (tmp_path / "r.json").read_text(encoding="utf-8") == want
+        forked, asked = cli._forked, []
+
+        def counted(run, k):
+            asked.append(k)
+            return forked(run, k)
+
+        monkeypatch.setattr(cli, "_forked", counted)
+        # (usable CPUs, least scores per share, fork present) and the scores' share count
+        for cpus, least, fork, k in ((1, cli._SCORE_SHARE, True, 1), (3, 1, True, min(n, 3)),
+                                     (64, 1, True, min(n, 64)), (1, 1, False, 1)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(cli, "_SCORE_SHARE", least)
+            if not fork:
+                monkeypatch.delattr(os, "fork")
+            code, out, _ = run_cli(["estimate", str(path), "--method", "tobi"], capsys)
+            assert code == 0 and out == want
+            assert not sys.stdout.closed
+            assert asked[-1] == k  # the report's call, after any the parse made
+            code, out, _ = run_cli(["estimate", str(path), "--method", "tobi",
+                                    "--output", str(tmp_path / "r.json")], capsys)
+            assert code == 0 and out == ""
+            assert (tmp_path / "r.json").read_text(encoding="utf-8") == want
+            assert asked[-1] == k
+
+    def test_dead_formatting_worker_is_one_typed_error(self, tmp_path, capsys, monkeypatch):
+        # a process formatting a share of the scores killed (out of memory, a
+        # signal) ends estimate with exit 1 and one JSON line; nothing is written,
+        # an existing report keeps its bytes, and no process is left behind
+        path = tmp_path / "dies.csv"
+        path.write_text("x,y\n" + "1.5,-2.5\n2,1\n0.5,3\n" * 20)
+        pid, dumps = os.getpid(), json.dumps
+
+        def dies_in_child(*args, **options):
+            if os.getpid() != pid:
+                os.kill(os.getpid(), 9)
+            return dumps(*args, **options)
+
+        monkeypatch.setattr(cli, "_SCORE_SHARE", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(json, "dumps", dies_in_child)
+        old = tmp_path / "old.json"
+        old.write_bytes(b"an earlier report\n")
+        for output in (None, tmp_path / "new.json", old):
+            code, out, err = run_cli(["estimate", str(path), "--method", "tobi"]
+                                     + ([] if output is None else ["--output", str(output)]),
+                                     capsys)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1
+            assert stderr_payload(err)["error"] == "WorkerError"
+        assert not (tmp_path / "new.json").exists()
+        assert old.read_bytes() == b"an earlier report\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -184,6 +184,27 @@ def test_one_process_where_fork_missing(tmp_path, monkeypatch):
     assert asked == []
 
 
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, capsys):
+    # a UTF-8 byte-order mark, as spreadsheet programs save one, is dropped: a
+    # first "label" column stays the labels, in one process and in shares
+    x = np.random.default_rng(5).standard_normal((300, 2))
+    text = "label,x,y\n" + "".join(f"{1 if a > 0 else -1},{a!r},{b!r}\n"
+                                    for a, b in x.tolist())
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbflabel,")
+    serial = outcome(plain)
+    assert serial[0] == (300, 2)
+    assert outcome(marked) == serial
+    with shares() as asked:
+        assert outcome(marked) == serial
+        assert main(["estimate", str(marked), "--method", "lda"]) == 0
+    assert asked[:2] == [3, 3]
+    out, err = capsys.readouterr()
+    assert json.loads(out)["p"] == 2, err
+
+
 def test_dead_child_is_one_typed_error(tmp_path, capsys):
     # a share's process killed mid-parse (out of memory, a signal) ends
     # estimate with exit 1 and one JSON line, and leaves no process behind
