@@ -353,9 +353,10 @@ class TestEstimate:
             return forked(run, k)
 
         monkeypatch.setattr(cli, "_forked", counted)
-        # (usable CPUs, least scores per share, fork present) and the scores' share count
-        for cpus, least, fork, k in ((1, cli._SCORE_SHARE, True, 1), (3, 1, True, min(n, 3)),
-                                     (64, 1, True, min(n, 64)), (1, 1, False, 1)):
+        # (usable CPUs, least scores per share, fork present) and the scores' share
+        # count: one CPU, or no fork, keeps the formatting in this process
+        for cpus, least, fork, k in ((1, 1, True, 1), (3, 1, True, min(n, 3)),
+                                     (64, 1, True, min(n, 64)), (64, 1, False, 1)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             monkeypatch.setattr(cli, "_SCORE_SHARE", least)
             if not fork:
