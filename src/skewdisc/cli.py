@@ -223,10 +223,9 @@ def _cmd_estimate(args):
     if args.output is not None:
         _require_out_path(args.output)
     data = load_csv(args.input)
-    rng = None if args.seed is None else np.random.default_rng(args.seed)
     # Overflow shows up as a typed error, not as loose warnings on stderr.
     with np.errstate(all="ignore"):
-        est = method.run(data, args.alpha1, tol=args.tol, max_iter=args.max_iter, rng=rng)
+        est = method.run(data, args.alpha1, tol=args.tol, max_iter=args.max_iter)
         scores = (data.observations - data.observations.mean(axis=0)) @ est.unit
     if not np.isfinite(scores).all():
         raise NonFiniteError("a score (x - mean)'unit leaves double range; rescale the data")
@@ -395,7 +394,7 @@ def _build_parser():
     est.add_argument("--max-iter", type=int, default=estimators.DEFAULT_MAX_ITER,
                      help="fixed-point iteration cap (jade3, pp)")
     est.add_argument("--seed", type=int,
-                     help="seed for the restart generator (jade3, pp)")
+                     help="accepted and ignored: no method draws random numbers")
     est.add_argument("--output", help="write the JSON report here instead of stdout")
     est.set_defaults(func=_cmd_estimate)
 

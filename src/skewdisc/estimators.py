@@ -50,7 +50,6 @@ PP = "PP"
 #: Default fixed-point settings for JADE3 and PP.
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
-_MAX_RESTARTS = 5
 _UNDERFLOW = 1e-300
 
 
@@ -344,17 +343,17 @@ def est_tobi(data, member=None):
     return _estimate(whitener @ u, e, TOBI, notes=notes)
 
 
-def _fixed_point(tk, step, init, tol, max_iter, rng):
+def _fixed_point(tk, step, init, tol, max_iter):
     # Iterates u <- update / ||update|| on the tensor T = tk, where
     # (update, objective) = step(tu, coef) with tu[k] = T_k u and coef[k] =
     # u' T_k u = T(e_k, u, u), both from one matrix-vector product with the
     # (p*p, p) view of T. An objective (None: nothing to watch) that drops
-    # between iterates adds the note "objective decreased". rows is made
-    # C-contiguous once (a copy only of a caller's strided tk), and T u is
-    # written into one buffer per call, of which tu is a view; on contiguous
-    # arrays np.dot and ndarray.dot round as @ does, at less call overhead.
-    if rng is None:
-        rng = np.random.default_rng(0)
+    # between iterates adds the note "objective decreased"; an update whose
+    # norm underflows or is not finite raises DegenerateSkewnessError. rows
+    # is made C-contiguous once (a copy only of a caller's strided tk), and
+    # T u is written into one buffer per call, of which tu is a view; on
+    # contiguous arrays np.dot and ndarray.dot round as @ does, at less call
+    # overhead.
     p = len(init)
     rows = np.ascontiguousarray(tk.reshape(p * p, p))
     flat = np.empty(p * p)
@@ -362,9 +361,8 @@ def _fixed_point(tk, step, init, tol, max_iter, rng):
     u = init / _norm(init)
     notes = []
     iterations = 0
-    restarts = 0
     prev_obj = None
-    while iterations < max_iter:
+    for iterations in range(1, max_iter + 1):
         np.dot(rows, u, out=flat)
         update, obj = step(tu, tu.dot(u))
         if prev_obj is not None and obj < prev_obj - 1e-12 * max(1.0, prev_obj):
@@ -372,16 +370,8 @@ def _fixed_point(tk, step, init, tol, max_iter, rng):
         prev_obj = obj
         nrm = math.sqrt(update.dot(update))
         if not math.isfinite(nrm) or nrm < _UNDERFLOW:
-            if restarts >= _MAX_RESTARTS:
-                notes.append("restarts exhausted")
-                break
-            restarts += 1
-            u = rng.standard_normal(len(u))
-            u /= _norm(u)
-            prev_obj = None
-            continue
+            raise DegenerateSkewnessError("fixed-point update is numerically zero or not finite")
         new_u = update / nrm
-        iterations += 1
         crit = 1.0 - abs(float(new_u.dot(u)))
         u = new_u
         if crit < tol:
@@ -389,32 +379,32 @@ def _fixed_point(tk, step, init, tol, max_iter, rng):
     return u, False, iterations, tuple(notes)
 
 
-def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None):
+def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Fixed-point iteration u <- sum_k (u' T_k u) T_k u, renormalized,
     on the unit sphere.
 
     Stops when 1 - |u_new' u_old| < tol (sign-invariant) or after
-    max_iter accepted steps. An update whose norm underflows triggers a
-    restart from a fresh random unit vector, at most 5 times. tk is the
-    (p, p, p) array of slices.
+    max_iter steps. tk is the (p, p, p) array of slices. Raises
+    DegenerateSkewnessError when an update's norm underflows or is not
+    finite.
 
     Returns
     -------
     (u, converged, iterations, notes)
     """
     return _fixed_point(tk, lambda tu, coef: (coef.dot(tu), float(coef.dot(coef))), init,
-                        tol, max_iter, rng)
+                        tol, max_iter)
 
 
-def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None, member=None):
+def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, member=None):
     """3-JADE estimate, started from the TOBI eigenvector of the same
-    whitened slices (so it raises where TOBI does); restarts draw from rng."""
+    whitened slices (so it raises where TOBI does, and where jade3_unit does)."""
     wh = _record(data)
     e, whitener = wh.member("whiten", member)[:2]
     init, ambiguous = wh.member("tobi", member)
     notes = ("ambiguous leading eigenvalue in init",) if ambiguous else ()
     u, converged, iterations, jade_notes = jade3_unit(
-        wh.member("tk", member)[0], init, tol=tol, max_iter=max_iter, rng=rng)
+        wh.member("tk", member)[0], init, tol=tol, max_iter=max_iter)
     return _estimate(whitener @ u, e, JADE3, converged=converged,
                      iterations=iterations, notes=notes + jade_notes)
 
@@ -439,24 +429,25 @@ def est_lda(data, member=None):
     return _estimate(raw, e, LDA)
 
 
-def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rng=None, member=None):
+def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, member=None):
     """Projection pursuit plug-in (experimental): fixed point
     u <- normalize(mean((u'z)^2 z)) on the whitened data, a stationary
     point of the squared projection skewness, started from the whitened
     third-moment vector, stepping on T(., u, u) of the cached tensor, the
-    record's "tk" stage. Same loop and restart policy as JADE3; may
-    legitimately return converged=False.
+    record's "tk" stage. Same loop as JADE3; may legitimately return
+    converged=False.
 
     Raises
     ------
     DegenerateSkewnessError
-        If the whitened third moment is below the degeneracy floor.
+        If the whitened third moment is below the degeneracy floor, or an
+        update's norm underflows or is not finite.
     """
     wh = _record(data)
     e, whitener, _, c3, symmetric = wh.member("whiten", member)
     u, converged, iterations, notes = _fixed_point(
         wh.member("tk", member)[0], lambda tu, coef: (coef, None), _skewed(c3, symmetric),
-        tol, max_iter, rng)
+        tol, max_iter)
     return _estimate(whitener @ u, e, PP, converged=converged,
                      iterations=iterations, notes=notes)
 
@@ -475,8 +466,8 @@ def align_sign(est, reference):
     return est
 
 
-#: One row of the method table. run(data, alpha1, member=, tol=, max_iter=,
-#: rng=) calls the method's est_* function by its name in this module, so a
+#: One row of the method table. run(data, alpha1, member=, tol=, max_iter=)
+#: calls the method's est_* function by its name in this module, so a
 #: wrapper put there sees every call; member (None for an unstacked DataSet)
 #: picks the member of a stack, alpha1 reaches only MOM, the fixed-point
 #: settings only JADE3 and PP. constant(alpha1, tau, p) is the

@@ -182,11 +182,11 @@ def _replicates(config, draw, cell_index, cell, reps):
     mixtures, stats = zip(*(draw(config, alpha1, tau, rng) for rng in rngs))
     data = sample(mixtures, n, rngs)
     out = []
-    for b, (stat, rng) in enumerate(zip(stats, rngs)):
+    for b, stat in enumerate(stats):
         row = []
         for method in config.methods:
             try:
-                est = estimators.METHODS[method].run(data, alpha1, member=b, rng=rng)
+                est = estimators.METHODS[method].run(data, alpha1, member=b)
             except (Error, ValueError):
                 row.append(None)
                 continue

@@ -210,7 +210,7 @@ def first_step(tk, u):
         seen.append((tu, coef))
         return coef, None
 
-    _fixed_point(tk, step, u, DEFAULT_TOL, 1, None)
+    _fixed_point(tk, step, u, DEFAULT_TOL, 1)
     return seen[0]
 
 
@@ -347,6 +347,14 @@ class TestWhiten:
             whiten(x)
 
 
+#: A symmetric tensor with nonzero slices and T(e_k, e_0, e_0) = 0 for every
+#: k: from e_0 both JADE3's update and PP's, T(., e_0, e_0), are zero.
+E0 = np.array([1.0, 0.0])
+VANISHING_AT_E0 = np.zeros((2, 2, 2))
+VANISHING_AT_E0[0, 1, 1] = VANISHING_AT_E0[1, 0, 1] = VANISHING_AT_E0[1, 1, 0] = 1.0
+VANISHING_AT_E0[1, 1, 1] = 2.0
+
+
 def mirrored_dataset(seed=40, n_half=200, p=3):
     """Rows come in (r, -r) pairs, so every odd sample moment vanishes
     to round-off."""
@@ -461,13 +469,18 @@ class TestDegenerateInputs:
         _, _, _, notes = jade3_unit(tk, init=rng.standard_normal(2), max_iter=50)
         assert "objective decreased" in notes
 
-    def test_jade3_all_zero_slices_exhausts_restarts(self):
-        tk = np.zeros((2, 2, 2))
-        u, converged, iterations, notes = jade3_unit(
-            tk, init=np.array([1.0, 0.0]), rng=np.random.default_rng(42))
-        assert not converged
-        assert iterations == 0
-        assert "restarts exhausted" in notes
+    @pytest.mark.parametrize("run", [
+        lambda: jade3_unit(np.zeros((2, 2, 2)), init=E0),
+        lambda: jade3_unit(VANISHING_AT_E0, init=E0),
+        lambda: _fixed_point(VANISHING_AT_E0, lambda tu, coef: (coef, None), E0,
+                             DEFAULT_TOL, DEFAULT_MAX_ITER),
+        lambda: jade3_unit(np.full((2, 2, 2), np.nan), init=E0),
+    ], ids=["jade3-zero-slices", "jade3-vanishing-update", "pp-vanishing-update",
+            "jade3-non-finite-update"])
+    def test_fixed_point_refuses_a_vanishing_update(self, run):
+        # an update whose norm underflows or is not finite is one typed error
+        with pytest.raises(DegenerateSkewnessError, match="fixed-point update"):
+            run()
 
 
 class TestLdaErrors:
@@ -559,8 +572,7 @@ def scaled_fits(params, ds, e):
     """(estimate on ds, estimate on ds times 2^e) for every method."""
     scaled = DataSet(np.ldexp(ds.observations, e), labels=ds.labels)
     for tag, method in METHODS.items():
-        yield tag, *(method.run(data, params.alpha1, rng=np.random.default_rng(1))
-                     for data in (ds, scaled))
+        yield tag, *(method.run(data, params.alpha1) for data in (ds, scaled))
 
 
 class TestPowerOfTwoScale:

@@ -333,10 +333,10 @@ class TestMsiExperiment:
         rngs = [rng_stream(cfg.master_seed, m) for m in range(cfg.reps)]
         mixtures, _ = zip(*(_msi_draw(cfg, 0.7, 1e77, rng) for rng in rngs))
         data = model.sample(mixtures, 200, rngs)
-        for b, rng in enumerate(rngs):
+        for b in range(cfg.reps):
             for method in ALL_SIX:
                 with pytest.raises(NearSingularError):
-                    estimators.METHODS[method].run(data, 0.7, member=b, rng=rng)
+                    estimators.METHODS[method].run(data, 0.7, member=b)
         rows = msi_experiment(cfg)
         assert sorted(r["method"] for r in rows) == sorted(ALL_SIX)
         assert all(r["reps_used"] == 0 and r["reps_failed"] == 3 for r in rows)
@@ -487,10 +487,10 @@ class TestSharedWhitening:
             h = np.array([np.sqrt(8.0), 0.0, 0.0])
             x = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600,
                              np.random.default_rng(3)).observations
-        fresh = estimators.est_jade3(model.DataSet(x), rng=np.random.default_rng(1))
+        fresh = estimators.est_jade3(model.DataSet(x))
         data = model.DataSet(x)
         estimators.est_tobi(data)
-        after = estimators.est_jade3(data, rng=np.random.default_rng(1))
+        after = estimators.est_jade3(data)
         assert fresh.unit.tobytes() == after.unit.tobytes()
         assert (fresh.converged, fresh.iterations, fresh.notes) == (
             after.converged, after.iterations, after.notes)
@@ -505,7 +505,7 @@ class TestSharedWhitening:
         h = np.array([np.sqrt(8.0), 0.0, 0.0])
         data = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600, rng)
         assert len(results) == len(estimators.METHODS)
-        for (method, est), t_projection in zip(direct_estimates(data, rng), results):
+        for (method, est), t_projection in zip(direct_estimates(data), results):
             want = float(np.eye(3)[1] @ align_sign(est, h).unit)
             assert t_projection == want, method
 
@@ -523,7 +523,7 @@ class TestSharedWhitening:
         data = model.sample(_mean_zero_params(0.7, h, a @ a.T), 600, rng)
         theta = np.linalg.solve(a @ a.T, h)
         assert len(results) == len(estimators.METHODS)
-        for (method, est), similarity in zip(direct_estimates(data, rng), results):
+        for (method, est), similarity in zip(direct_estimates(data), results):
             assert similarity == msi(est.unit, theta), method
 
     @pytest.mark.parametrize("draw,sigma_mode,want", [
@@ -544,16 +544,14 @@ class TestSharedWhitening:
         assert calls == want
 
 
-def direct_estimates(data, rng):
+def direct_estimates(data):
     """(method, estimate) for every method of the table, in table order,
-    each from its est_* function; JADE3 and PP draw restarts from rng."""
+    each from its est_* function."""
     out = []
     for method in estimators.METHODS:
         fit = getattr(estimators, f"est_{method.lower()}")
         if estimators.METHODS[method].needs_alpha1:
             est = fit(data, 0.7)
-        elif method in (estimators.JADE3, estimators.PP):
-            est = fit(data, rng=rng)
         else:
             est = fit(data)
         out.append((method, est))

@@ -69,7 +69,7 @@ def outcomes(data, member):
     out = []
     for method in estimators.METHODS.values():
         try:
-            est = method.run(data, 0.7, member=member, rng=np.random.default_rng(5))
+            est = method.run(data, 0.7, member=member)
         except (Error, ValueError) as exc:
             out.append(type(exc).__name__)
         else:
