@@ -341,25 +341,23 @@ def _load_config(path):
             raise ConfigError(f"config: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ConfigError("config: top level must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    fields = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     for key in payload:
         if key not in fields:
             raise ConfigError(f"{key}: unknown config field")
-    required = fields - {"sigma_mode"}
-    for key in sorted(required):
+    for key in sorted(k for k, default in fields.items() if default is dataclasses.MISSING):
         if key not in payload:
             raise ConfigError(f"{key}: missing config field")
     return ExperimentConfig(**payload)
 
 
 def _write_table(path, columns, rows):
-    import csv as csvmod
+    import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csvmod.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if row[c] is None else row[c] for c in columns])
+        writer = csv.DictWriter(fh, columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _cmd_simulate(args):
@@ -375,8 +373,13 @@ def _cmd_simulate(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewdisc",
         description="Skewness-based linear discriminant direction estimation "
                     "for two-component Gaussian location mixtures.")
@@ -422,15 +425,15 @@ def _fail(code, exc):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, ConfigError, SupervisionRequiredError,
             WeightDivergenceError, SymmetryError) as exc:
         return _fail(2, exc)
     # Before ValueError: LinAlgError is one. Any other skewdisc error is a
     # runtime failure.
-    except (Error, np.linalg.LinAlgError, OSError) as exc:
+    except (Error, np.linalg.LinAlgError, OSError, MemoryError) as exc:
         return _fail(1, exc)
     except ValueError as exc:
         return _fail(2, exc)

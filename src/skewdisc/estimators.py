@@ -30,7 +30,7 @@ MOM), so unit is the same bits at any power-of-two scale of the data.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,14 +57,12 @@ _UNDERFLOW = 1e-300
 class DirectionEstimate:
     """An estimated direction with its diagnostics.
 
-    raw is the estimator's native output (carrying its Fisher-consistency
-    scale), unit the normalized direction, raw_norm ||raw|| taken before raw
-    was scaled back into the data's units. For non-iterative methods
-    converged is True and iterations 0. notes carries warnings such as a
-    tied leading eigenvalue.
+    unit is the normalized direction, raw_norm the norm of the native
+    output, which carries its Fisher-consistency scale, in the data's units.
+    For non-iterative methods converged is True and iterations 0. notes
+    carries warnings such as a tied leading eigenvalue.
     """
 
-    raw: np.ndarray
     unit: np.ndarray
     method: str
     converged: bool
@@ -155,9 +153,9 @@ def _estimate(raw, e, method, converged=True, iterations=0, notes=()):
     if not (math.isfinite(nrm) and -1021 <= math.frexp(nrm)[1] - e <= 1024):
         raise NonFiniteError(
             f"{method} produced a direction outside double range; rescale the data")
-    return DirectionEstimate(raw=np.ldexp(raw, -e), unit=raw / nrm, method=method,
-                             converged=converged, iterations=iterations,
-                             notes=tuple(notes), raw_norm=math.ldexp(nrm, -e))
+    return DirectionEstimate(unit=raw / nrm, method=method, converged=converged,
+                             iterations=iterations, notes=tuple(notes),
+                             raw_norm=math.ldexp(nrm, -e))
 
 
 def skewness_floor(c2_trace):
@@ -460,9 +458,7 @@ def align_sign(est, reference):
     if _norm(reference) == 0.0:
         raise ValueError("sign reference must be nonzero")
     if float(est.unit @ reference) < 0.0:
-        return DirectionEstimate(raw=-est.raw, unit=-est.unit, method=est.method,
-                                 converged=est.converged, iterations=est.iterations,
-                                 notes=est.notes, raw_norm=est.raw_norm)
+        return replace(est, unit=-est.unit)
     return est
 
 

@@ -211,11 +211,11 @@ def test_criterion_6_affine_equivariance(capsys):
         a_inv = np.linalg.inv(a)
         for name, fn in (("SKEWVEC", est_skewvec), ("TOBI", est_tobi),
                          ("JADE3", est_jade3)):
-            ref = a_inv @ base[name].raw
+            ref = a_inv @ base[name].unit
             ref = ref / np.linalg.norm(ref)
             got = align_sign(fn(mapped), ref)
             worst_ae = max(worst_ae, float(np.abs(got.unit - ref).max()))
-        ref = a_inv @ base_mom.raw
+        ref = a_inv @ base_mom.unit
         ref = ref / np.linalg.norm(ref)
         got = align_sign(est_mom(mapped, 0.7), ref)
         worst_mom = max(worst_mom, float(np.linalg.norm(got.unit - ref)))

@@ -332,8 +332,8 @@ class TestEstimate:
         # on stdout and in --output alike, for any share count, and stdout stays
         # open; a fixed unit lets one row through
         unit = np.array([0.6, -0.8])
-        fixed = estimators.DirectionEstimate(raw=unit, unit=unit, method="TOBI",
-                                             converged=True, iterations=0, raw_norm=1.0)
+        fixed = estimators.DirectionEstimate(unit=unit, method="TOBI", converged=True,
+                                             iterations=0, raw_norm=1.0)
         monkeypatch.setitem(estimators.METHODS, "TOBI", estimators.METHODS["TOBI"]._replace(
             run=lambda data, alpha1, **fit: fixed))
         rng = np.random.default_rng(n)
@@ -575,9 +575,27 @@ class TestEstimate:
             reports.add(out)
         assert len(reports) == 1
 
-    def test_unknown_method_rejected_by_parser(self, sample_csv):
-        with pytest.raises(SystemExit):
-            main(["estimate", sample_csv, "--method", "pca"])
+    @pytest.mark.parametrize("argv,fragment", [
+        (["--method", "pca"], "invalid choice: 'pca'"),
+        ([], "required: --method"),
+        (["--method", "jade3", "--max-iter", "abc"], "invalid int value: 'abc'"),
+        (None, "required: subcommand"),
+    ], ids=["unknown-method", "no-method", "bad-max-iter", "no-subcommand"])
+    def test_unknown_method_rejected_by_parser(self, sample_csv, capsys, argv, fragment):
+        # argparse's own refusals are one JSON line too, not its usage text
+        code, out, err = run_cli([] if argv is None else ["estimate", sample_csv, *argv],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "UsageError"
+        assert fragment in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: skewdisc")
 
     def test_round_trip_direction_quality(self, tmp_path, capsys):
         # median MSI against the true direction over 20 independent
@@ -830,6 +848,18 @@ class TestSimulate:
         with pytest.raises(ChildProcessError):  # no child left, running or unreaped
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sample_beyond_memory_is_one_typed_error(self, tmp_path, capsys, workers):
+        # 10^16 rows fail at the first allocation, of 10^16 bytes (8.9 PiB), so
+        # nothing near the machine's memory is touched; 2 workers go through _forked
+        cfg = write_config(tmp_path / "cfg.json", n_grid=[10 ** 16], methods=["TOBI"])
+        out_csv = tmp_path / "chat.csv"
+        code, out, err = run_cli(["simulate-chat", cfg, str(out_csv), "--workers", workers],
+                                 capsys)
+        assert code == 1 and out == "" and not out_csv.exists()
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "MemoryError"
+
     def test_minimal_config_single_row(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", methods=["TOBI"], reps=10)
         out_csv = tmp_path / "one.csv"
@@ -861,7 +891,8 @@ class TestSimulate:
         code, _, err = run_cli(
             ["simulate-chat", str(path), str(tmp_path / "o.csv")], capsys)
         assert code == 2
-        assert "missing config field" in stderr_payload(err)["message"]
+        # the first required field in sorted order; sigma_mode has a default
+        assert stderr_payload(err)["message"] == "alpha_grid: missing config field"
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

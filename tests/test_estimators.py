@@ -1,6 +1,7 @@
 """Direction estimators: exact population behavior via moment injection,
 large-sample convergence, equivariance and degenerate-input handling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from skewdisc.estimators import (DEFAULT_MAX_ITER, DEFAULT_TOL, JADE3, LDA,
                                  est_pp, est_skewvec, est_tobi, jade3_unit,
                                  mom_direction, skewness_floor,
                                  skewvec_direction, tobi_unit, whiten)
-from skewdisc.linalg import inv_sqrt
+from skewdisc.linalg import _norm, inv_sqrt
 from skewdisc.moments import sample_moments, third_moment
 from skewdisc.model import (DataSet, MixtureParams, derive,
                             population_moments, sample, whitened_mixture)
@@ -284,8 +285,9 @@ class TestMomCentresOnce:
             # Scaling by 2^-e commutes with the centring only while no
             # centred value is subnormal.
             assert not ((size > 0) & (size < tiny)).any()
-            np.testing.assert_array_equal(est_mom(ds, alpha1).raw,
-                                          mom_three_centrings(x, alpha1))
+            est, ref = est_mom(ds, alpha1), mom_three_centrings(x, alpha1)
+            np.testing.assert_array_equal(est.unit, ref / _norm(ref))
+            assert est.raw_norm == _norm(ref)
 
 
 class TestAffineEquivariance:
@@ -299,7 +301,7 @@ class TestAffineEquivariance:
                          labels=ds.labels)
         ainv_t = np.linalg.inv(a).T
         for fn in (est_skewvec, est_tobi, est_jade3):
-            ref = unit(ainv_t @ fn(ds).raw)
+            ref = unit(ainv_t @ fn(ds).unit)
             got = align_sign(fn(mapped), ref)
             np.testing.assert_allclose(got.unit, ref, atol=1e-7,
                                        err_msg=fn.__name__)
@@ -308,7 +310,7 @@ class TestAffineEquivariance:
         ds = sample(reference_params(), 4000, np.random.default_rng(37))
         a = np.diag([5.0, 1.0, 0.2])
         mapped = DataSet(observations=ds.observations @ a.T)
-        ref = unit(np.linalg.inv(a).T @ est_mom(ds, 0.7).raw)
+        ref = unit(np.linalg.inv(a).T @ est_mom(ds, 0.7).unit)
         got = align_sign(est_mom(mapped, 0.7), ref)
         assert np.abs(got.unit - ref).max() > 1e-3
 
@@ -433,7 +435,7 @@ class TestDegenerateInputs:
         with np.errstate(all="raise"):
             got = est_mom(DataSet(ds.observations * 10.0 ** k), 0.7)
         np.testing.assert_allclose(got.unit, want.unit, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(got.raw, want.raw * 10.0 ** -k, rtol=1e-13)
+        np.testing.assert_allclose(got.raw_norm, want.raw_norm * 10.0 ** -k, rtol=1e-13)
 
     def test_skewness_floor_finite_at_huge_trace(self):
         assert skewness_floor(1e210) == pytest.approx(1e305)
@@ -512,7 +514,8 @@ class TestLdaErrors:
         cp = pos - pos.mean(axis=0)
         s_w = (cn.T @ cn + cp.T @ cp) / 60
         want = np.linalg.solve(s_w, pos.mean(axis=0) - neg.mean(axis=0))
-        np.testing.assert_allclose(est_lda(ds).raw, want, rtol=1e-9)
+        est = est_lda(ds)
+        np.testing.assert_allclose(est.unit * est.raw_norm, want, rtol=1e-9)
 
 
 class TestAlignSign:
@@ -523,7 +526,6 @@ class TestAlignSign:
         np.testing.assert_array_equal(kept.unit, est.unit)
         flipped = align_sign(est, -est.unit)
         np.testing.assert_array_equal(flipped.unit, -est.unit)
-        np.testing.assert_array_equal(flipped.raw, -est.raw)
 
     def test_orthogonal_reference_untouched(self):
         ds = sample(reference_params(), 2000, np.random.default_rng(47))
@@ -539,8 +541,8 @@ class TestAlignSign:
 
     def test_underflowing_reference_rejected(self):
         # the norm of [1e-200, 0] underflows to 0 although an entry is not 0
-        est = DirectionEstimate(raw=np.array([2.0, 0.0]), unit=np.array([1.0, 0.0]),
-                                method=TOBI, converged=True, iterations=0)
+        est = DirectionEstimate(unit=np.array([1.0, 0.0]), method=TOBI, converged=True,
+                                iterations=0)
         with pytest.raises(ValueError, match="nonzero"):
             align_sign(est, np.array([1e-200, 0.0]))
 
@@ -551,6 +553,16 @@ class TestAlignSign:
         assert flipped.iterations > 0
         assert ((flipped.method, flipped.converged, flipped.iterations, flipped.notes)
                 == (est.method, est.converged, est.iterations, est.notes))
+
+    def test_flip_keeps_every_other_field(self):
+        # no field falls back to its default: each one differs from it here
+        est = DirectionEstimate(unit=np.array([0.6, -0.8]), method=JADE3, converged=False,
+                                iterations=7, notes=("tied",), raw_norm=2.5)
+        flipped = align_sign(est, np.array([-1.0, 0.0]))
+        np.testing.assert_array_equal(flipped.unit, [-0.6, 0.8])
+        others = [f.name for f in dataclasses.fields(DirectionEstimate) if f.name != "unit"]
+        assert others == ["method", "converged", "iterations", "notes", "raw_norm"]
+        assert [getattr(flipped, name) for name in others] == [JADE3, False, 7, ("tied",), 2.5]
 
     def test_original_untouched(self):
         ds = sample(reference_params(), 2000, np.random.default_rng(49))
@@ -578,7 +590,7 @@ def scaled_fits(params, ds, e):
 class TestPowerOfTwoScale:
     """Every method estimates on the data times 2^-e, an exact power of two,
     so the unit is the same bits at any power-of-two scale of the data, and
-    raw and raw_norm scale back exactly."""
+    raw_norm scales back exactly."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 3), draw=st.data())
@@ -589,7 +601,6 @@ class TestPowerOfTwoScale:
         e = draw.draw(st.sampled_from((lo, hi)) | st.integers(lo, hi), label="e")
         for tag, want, got in scaled_fits(params, ds, e):
             np.testing.assert_array_equal(got.unit, want.unit, err_msg=tag)
-            np.testing.assert_array_equal(got.raw, np.ldexp(want.raw, -e), err_msg=tag)
             assert got.raw_norm == math.ldexp(want.raw_norm, -e), tag
             assert (got.converged, got.iterations) == (want.converged, want.iterations)
 

@@ -580,6 +580,13 @@ class TestForked:
             montecarlo._forked(run, 3)
         assert_no_child_left()
 
+    def test_memory_error_in_a_child_is_raised_in_the_caller(self):
+        # numpy's MemoryError subclass survives the pipe and prints by its base name
+        with pytest.raises(MemoryError, match="Unable to allocate") as raised:
+            montecarlo._forked(lambda s: np.empty(10 ** 16 * s, dtype=bool), 2)
+        assert type(raised.value).__name__ == "MemoryError"
+        assert_no_child_left()
+
     def test_exception_in_the_caller_stops_the_children(self):
         # a child still busy is killed, not waited for
         def run(s):
