@@ -575,20 +575,19 @@ class TestEstimate:
             reports.add(out)
         assert len(reports) == 1
 
-    @pytest.mark.parametrize("argv,fragment", [
-        (["--method", "pca"], "invalid choice: 'pca'"),
-        ([], "required: --method"),
-        (["--method", "jade3", "--max-iter", "abc"], "invalid int value: 'abc'"),
-        (None, "required: subcommand"),
-    ], ids=["unknown-method", "no-method", "bad-max-iter", "no-subcommand"])
-    def test_unknown_method_rejected_by_parser(self, sample_csv, capsys, argv, fragment):
+    def test_unknown_method_rejected_by_parser(self, sample_csv, capsys):
         # argparse's own refusals are one JSON line too, not its usage text
-        code, out, err = run_cli([] if argv is None else ["estimate", sample_csv, *argv],
-                                 capsys)
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "UsageError"
-        assert fragment in json.loads(err)["message"]
+        for argv, fragment in (
+                (["estimate", sample_csv, "--method", "pca"], "invalid choice: 'pca'"),
+                (["estimate", sample_csv], "required: --method"),
+                (["estimate", sample_csv, "--method", "jade3", "--max-iter", "abc"],
+                 "invalid int value: 'abc'"),
+                ([], "required: subcommand")):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2 and out == "", argv
+            assert len(err.splitlines()) == 1, argv
+            assert json.loads(err)["error"] == "UsageError"
+            assert fragment in json.loads(err)["message"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
     def test_help_still_exits_0(self, capsys, argv):
