@@ -36,6 +36,8 @@ TAU_LIMIT = 1e77
 
 
 def _check_weight(alpha1):
+    if not 0.5 <= alpha1 <= 1.0:
+        raise ValueError(f"alpha1 must be in (0.5, 1), got {alpha1}")
     if not 0.5 + WEIGHT_MARGIN < alpha1 < 1.0 - WEIGHT_MARGIN:
         raise WeightDivergenceError(
             f"limiting constants diverge at alpha1 = {alpha1}: the symmetric "
@@ -50,15 +52,19 @@ def _check_tau(tau):
             f"tau must lie in [{1.0 / TAU_LIMIT:g}, {TAU_LIMIT:g}], got {tau}")
 
 
+def _beta(alpha1, tau):
+    _check_weight(alpha1)
+    _check_tau(tau)
+    return alpha1 * (1.0 - alpha1)
+
+
 def c0_constant(alpha1, tau):
     """Limiting constant shared by the eigenvector-based estimators.
 
     C0 = (1 + b*t) (b*t^2 + 6*b*t + 2) / (b^2 (1 - 4b) t^3)
     with b = alpha1 * (1 - alpha1) and t = tau.
     """
-    _check_weight(alpha1)
-    _check_tau(tau)
-    beta = alpha1 * (1.0 - alpha1)
+    beta = _beta(alpha1, tau)
     bt = beta * tau
     return (1.0 + bt) * (bt * tau + 6.0 * bt + 2.0) / (
         beta ** 2 * (1.0 - 4.0 * beta) * tau ** 3)
@@ -81,19 +87,21 @@ def c_lda(alpha1, tau):
     """Limiting constant of the supervised baseline:
     (1 + beta*tau) / (beta*tau). Lower bound for the unsupervised
     constants; tends to 1 as tau grows."""
-    _check_weight(alpha1)
-    _check_tau(tau)
-    bt = alpha1 * (1.0 - alpha1) * tau
+    bt = _beta(alpha1, tau) * tau
     return (1.0 + bt) / bt
 
 
-def _unit_scale(params):
-    # params with Sigma 4^-k, mu1 0 and mu2 h 2^-k, k = _exponent(Sigma) // 2,
-    # so that Sigma peaks in [0.5, 2); exact while no entry is subnormal.
+def _shape(params):
+    # Unit-scale params (Sigma 4^-k, mu1 0, mu2 h 2^-k, exact while no entry is
+    # subnormal), their derived symbols, ||theta||^2, Q and Q Sigma^{-1} Q.
     k = int(_exponent(params.sigma)) // 2
     h = params.mu2 - params.mu1
-    return MixtureParams(alpha1=params.alpha1, mu1=np.zeros_like(h), mu2=np.ldexp(h, -k),
-                         sigma=np.ldexp(params.sigma, -2 * k))
+    params = MixtureParams(alpha1=params.alpha1, mu1=np.zeros_like(h), mu2=np.ldexp(h, -k),
+                           sigma=np.ldexp(params.sigma, -2 * k))
+    d = derive(params)
+    _, q = projector_pair(d.theta)
+    root = inv_sqrt(params.sigma)  # Sigma^{-1} = root^2; refuses a near-singular Sigma
+    return params, d, float(d.theta @ d.theta), q, q @ (root @ root) @ q
 
 
 def avar_ae(constant_c, params):
@@ -104,12 +112,8 @@ def avar_ae(constant_c, params):
     """
     if not constant_c > 0:
         raise ValueError(f"constant_c must be positive, got {constant_c}")
-    params = _unit_scale(params)
-    d = derive(params)
-    _, q = projector_pair(d.theta)
-    root = inv_sqrt(params.sigma)  # Sigma^{-1} = root^2; refuses a near-singular Sigma
-    theta_sq = float(d.theta @ d.theta)
-    cov = constant_c * (d.tau / theta_sq) * (q @ (root @ root) @ q)
+    _, d, theta_sq, _, shape = _shape(params)
+    cov = constant_c * (d.tau / theta_sq) * shape
     return (cov + cov.T) / 2.0
 
 
@@ -124,22 +128,16 @@ def avar_mom(params):
     + beta (1 - 4 beta) ||h||^4. Not a multiple of Q Sigma^{-1} Q for
     generic Sigma.
     """
-    params = _unit_scale(params)
-    d = derive(params)
     _check_weight(params.alpha1)
+    params, d, theta_sq, q, shape = _shape(params)
     sigma = params.sigma
     h = d.h
     beta = d.beta
-    theta_sq = float(d.theta @ d.theta)
     h_sq = float(h @ h)
     one_4b = 1.0 - 4.0 * beta
     w1 = (1.0 + beta * d.tau) ** 2 / (h_sq ** 2 * beta ** 2 * one_4b * theta_sq)
     w2 = (2.0 * float(np.trace(sigma @ sigma))
           + 4.0 * beta * float(h @ sigma @ h)
           + beta * one_4b * h_sq ** 2)
-    _, q = projector_pair(d.theta)
-    root = inv_sqrt(sigma)  # Sigma^{-1} = root^2; refuses a near-singular Sigma
-    first = (w1 * w2 - d.tau * (1.0 + beta * d.tau) / theta_sq) * (q @ (root @ root) @ q)
-    second = 4.0 * w1 * (q @ d.c2 @ q)
-    cov = first + second
+    cov = (w1 * w2 - d.tau * (1.0 + beta * d.tau) / theta_sq) * shape + 4.0 * w1 * (q @ d.c2 @ q)
     return (cov + cov.T) / 2.0

@@ -86,6 +86,12 @@ class MixtureParams:
         return np.linalg.cholesky(self.sigma)
 
 
+def _centred(alpha1, h, sigma):
+    # The centered parametrization: mu1 = -alpha2 h, mu2 = alpha1 h.
+    alpha2 = 1.0 - alpha1
+    return MixtureParams(alpha1=alpha1, mu1=-alpha2 * h, mu2=alpha1 * h, sigma=sigma)
+
+
 @dataclass(frozen=True)
 class DerivedParams:
     """Every derived population symbol of the mixture.
@@ -307,10 +313,4 @@ def whitened_mixture(params):
     root = inv_sqrt(d.c2)
     h_w = root @ d.h
     sigma_w = root @ params.sigma @ root
-    alpha2 = 1.0 - params.alpha1
-    return MixtureParams(
-        alpha1=params.alpha1,
-        mu1=-alpha2 * h_w,
-        mu2=params.alpha1 * h_w,
-        sigma=(sigma_w + sigma_w.T) / 2.0,
-    )
+    return _centred(params.alpha1, h_w, (sigma_w + sigma_w.T) / 2.0)

@@ -42,7 +42,7 @@ from . import estimators
 from .asymptotics import TAU_LIMIT
 from .errors import ConfigError, Error, WeightDivergenceError, WorkerError
 from .linalg import _norm
-from .model import MixtureParams, sample
+from .model import _centred, sample
 
 SIGMA_IDENTITY = "identity"
 SIGMA_RANDOM_AAT = "random-aat"
@@ -139,17 +139,12 @@ def msi(u, v):
     return min(abs(float(u @ v)) / (nu * nv), 1.0)
 
 
-def _mean_zero_params(alpha1, h, sigma):
-    alpha2 = 1.0 - alpha1
-    return MixtureParams(alpha1=alpha1, mu1=-alpha2 * h, mu2=alpha1 * h, sigma=sigma)
-
-
 @functools.lru_cache(maxsize=1)
 def _chat_draw_cell(p, alpha1, tau):
     # Sigma = I, so theta = h = sqrt(tau) e_1, and t = e_2 is orthogonal to it.
     # Jobs run in cell order, so one entry serves every replicate of a cell.
     h = math.sqrt(tau) * np.eye(p)[0]
-    return (_mean_zero_params(alpha1, h, np.eye(p)),
+    return (_centred(alpha1, h, np.eye(p)),
             lambda est: float(estimators.align_sign(est, h).unit[1]))
 
 
@@ -168,7 +163,7 @@ def _msi_draw(config, alpha1, tau, rng):
     # h' Sigma^{-1} h = tau holds exactly.
     h = math.sqrt(tau) * (a @ direction)
     theta = np.linalg.solve(sigma, h)
-    return _mean_zero_params(alpha1, h, sigma), lambda est: msi(est.unit, theta)
+    return _centred(alpha1, h, sigma), lambda est: msi(est.unit, theta)
 
 
 def _replicates(config, draw, cell_index, cell, reps):

@@ -85,6 +85,16 @@ class TestScalarConstants:
         with pytest.raises(WeightDivergenceError):
             c_skewvec(alpha1, 4.0, 3)
 
+    @pytest.mark.parametrize("alpha1", [1.5, 0.2, float("nan")])
+    def test_non_weights_refused_as_values(self, alpha1):
+        # Not a mixture weight at all, as MixtureParams says: no divergence.
+        params = reference_params()
+        object.__setattr__(params, "alpha1", alpha1)  # past MixtureParams' own check
+        for call in (lambda: c0_constant(alpha1, 4.0), lambda: c_lda(alpha1, 4.0),
+                     lambda: c_skewvec(alpha1, 4.0, 3), lambda: avar_mom(params)):
+            with pytest.raises(ValueError, match=r"^alpha1 must be in \(0\.5, 1\), got "):
+                call()
+
     def test_divergence_message_cites_symmetric_case(self):
         with pytest.raises(WeightDivergenceError) as excinfo:
             c0_constant(0.5, 4.0)
@@ -212,6 +222,25 @@ def test_near_singular_sigma_refused_where_it_is_inverted():
         avar_ae(c0_constant(0.7, 1.0), params)
     with pytest.raises(NearSingularError):
         avar_mom(params)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ae_covariances_differ_only_by_the_constant(p, seed):
+    # The paper's main result: every affine equivariant estimator has the one
+    # shape C (tau / ||theta||^2) Q Sigma^{-1} Q, so SKEWVEC's covariance is
+    # C0's times c_skewvec / c0. The bound is rounding, a few ulps of two
+    # scalar products.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p))
+    mu1, mu2 = rng.standard_normal((2, p))
+    params = MixtureParams(alpha1=float(rng.uniform(0.55, 0.95)), mu1=mu1, mu2=mu2,
+                           sigma=a @ a.T + np.eye(p))
+    tau = derive(params).tau
+    c0 = c0_constant(params.alpha1, tau)
+    cs = c_skewvec(params.alpha1, tau, p)
+    want = (cs / c0) * avar_ae(c0, params)
+    assert np.linalg.norm(avar_ae(cs, params) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @settings(max_examples=60, deadline=None)

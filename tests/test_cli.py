@@ -754,6 +754,18 @@ class TestConstants:
         assert code == 2 and out == ""
         assert stderr_payload(err)["error"] == "WeightDivergenceError"
 
+    @pytest.mark.parametrize("alpha1", ["1.5", "0.2", "nan"])
+    @pytest.mark.parametrize("mixture", [["--tau", "4", "--p", "3"],
+                                         ["--sigma", "1,0;0,1", "--h", "2,0"]],
+                             ids=["tau", "sigma"])
+    def test_non_weight_refused_as_a_value(self, alpha1, mixture, capsys):
+        code, out, err = run_cli(["constants", "--alpha1", alpha1, *mixture], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"alpha1 must be in (0.5, 1), got {float(alpha1)}"}
+
     def test_non_finite_h_refused(self, capsys):
         code, out, err = run_cli(
             ["constants", "--alpha1", "0.7", "--sigma", "1,0;0,1", "--h", "inf,0"],

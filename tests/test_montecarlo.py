@@ -19,9 +19,9 @@ from skewdisc.errors import ConfigError, NearSingularError, WorkerError
 from skewdisc.estimators import align_sign
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_MODES,
                                  SIGMA_RANDOM_AAT, ExperimentConfig,
-                                 _chat_draw, _mean_zero_params, _msi_draw,
-                                 _replicates, chat_experiment, msi_experiment,
-                                 msi, rng_stream)
+                                 _chat_draw, _msi_draw, _replicates,
+                                 chat_experiment, msi_experiment, msi,
+                                 rng_stream)
 
 ALL_SIX = ("MOM", "SKEWVEC", "TOBI", "JADE3", "LDA", "PP")
 
@@ -421,7 +421,7 @@ class TestWorkerProcesses:
                 super().__post_init__()
 
         montecarlo._chat_draw_cell.cache_clear()
-        monkeypatch.setattr(montecarlo, "MixtureParams", CountedParams)
+        monkeypatch.setattr(model, "MixtureParams", CountedParams)
         try:
             chat_experiment(small_config(alpha_grid=(0.6, 0.7), reps=5), workers=1)
         finally:
@@ -485,7 +485,7 @@ class TestSharedWhitening:
                           for c in (-1.0, 1.0)] * 30)
         else:
             h = np.array([np.sqrt(8.0), 0.0, 0.0])
-            x = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600,
+            x = model.sample(model._centred(0.7, h, np.eye(3)), 600,
                              np.random.default_rng(3)).observations
         fresh = estimators.est_jade3(model.DataSet(x))
         data = model.DataSet(x)
@@ -503,7 +503,7 @@ class TestSharedWhitening:
         (results,) = _replicates(cfg, _chat_draw, 0, (0.7, 8.0, 600), [1])
         rng = rng_stream(cfg.master_seed, 1)
         h = np.array([np.sqrt(8.0), 0.0, 0.0])
-        data = model.sample(_mean_zero_params(0.7, h, np.eye(3)), 600, rng)
+        data = model.sample(model._centred(0.7, h, np.eye(3)), 600, rng)
         assert len(results) == len(estimators.METHODS)
         for (method, est), t_projection in zip(direct_estimates(data), results):
             want = float(np.eye(3)[1] @ align_sign(est, h).unit)
@@ -520,7 +520,7 @@ class TestSharedWhitening:
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         h = math.sqrt(8.0) * (a @ direction)
-        data = model.sample(_mean_zero_params(0.7, h, a @ a.T), 600, rng)
+        data = model.sample(model._centred(0.7, h, a @ a.T), 600, rng)
         theta = np.linalg.solve(a @ a.T, h)
         assert len(results) == len(estimators.METHODS)
         for (method, est), similarity in zip(direct_estimates(data), results):

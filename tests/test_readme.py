@@ -101,7 +101,8 @@ def run_shell(text, tmp_path, configs):
         yield command, printed.splitlines(), expected
 
 
-SHELL_SECTIONS = ("constants", "simulate-chat", "simulate-msi")
+SHELL_SECTIONS = ("constants", "simulate-chat", "finite-sample behaviour",
+                  "simulate-msi")
 
 
 @pytest.mark.parametrize("heading", SHELL_SECTIONS)
