@@ -67,16 +67,15 @@ def _loadtxt(source, **options):
     # The one CSV dialect: comma-separated, '"'-quoted, no comments, blank
     # lines skipped. source is an open file or a list of lines.
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
         return np.loadtxt(source, delimiter=",", quotechar='"', comments=None, **options)
 
 
-def _raises(parse, lines):
+def _fails(parse, lines):
     try:
-        parse(lines)
+        return not np.isfinite(parse(lines)).all()
     except ValueError:
         return True
-    return False
 
 
 def _utf8(line):
@@ -88,36 +87,52 @@ def _utf8(line):
     return True
 
 
-def _first_failing(path, fails):
-    """(number, text) of the first body line at which the body, read up to
-    and including it, fails. Lines are numbered as the file iterator numbers
-    them, blank lines included; the parser skips blank ones. A byte that is
-    not UTF-8 is read as a lone surrogate, which no field accepts."""
+def _first_failing(path, parse):
+    """(number, lines) of the first body record at which the body, read up to
+    and including it, fails to parse or holds a non-finite value. A record
+    is a line, or the lines up to where the body's count of '"' is even
+    again; its number is its first line's, blank lines counted, which the
+    parser skips outside quotes. A byte that is not UTF-8 is read as a lone
+    surrogate, which no field accepts."""
+    records, quotes = [], 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        body = [(no, line) for no, line in enumerate(fh, start=1)
-                if no > 1 and line != "\n"]
-    good, bad = 0, len(body)
+        next(fh)  # the header
+        for no, line in enumerate(fh, start=2):
+            if quotes % 2:
+                records[-1][1].append(line)
+            elif line != "\n":
+                records.append((no, [line]))
+            quotes += line.count('"')
+    good, bad = 0, len(records)
     while bad - good > 1:
         mid = (good + bad) // 2
-        if fails([line for _, line in body[:mid]]):
+        if _fails(parse, [line for _, lines in records[:mid] for line in lines]):
             bad = mid
         else:
             good = mid
-    return body[bad - 1]
+    return records[bad - 1]
 
 
-def _diagnose(line, width, label_col, feature_cols):
-    """Why a body line fails: its field count, then its features, then its
-    label. A line that parses alone failed only after an unclosed quote."""
-    if not _utf8(line):
+def _diagnose(lines, width, label_col, feature_cols):
+    """Why a body record fails: its field count, then its features, then its
+    label, then a non-finite feature. A record that parses alone failed only
+    after an unclosed quote."""
+    try:
+        (fields,) = _loadtxt(lines, dtype=str, ndmin=2)
+    except ValueError:  # not one row: a '"' inside a field joined lines; the first alone
+        return _diagnose(lines[:1], width, label_col, feature_cols)
+    if not all(map(_utf8, lines)):
         return "not valid UTF-8"
-    fields = _loadtxt([line], dtype=str, ndmin=1)
     if len(fields) != width:
         return f"expected {width} fields, got {len(fields)}"
-    if _raises(lambda lines: _loadtxt(lines, dtype=float, usecols=feature_cols), [line]):
+    try:
+        features = _loadtxt(lines, dtype=float, usecols=feature_cols)
+    except ValueError:
         return "non-numeric feature value"
     if label_col is not None and fields[label_col].strip() not in _LABELS:
         return f"label must be -1 or 1, got {fields[label_col].strip()!r}"
+    if not np.isfinite(features).all():
+        return "non-finite feature value"
     return "row cannot be parsed after an unclosed quote"
 
 
@@ -141,8 +156,8 @@ def load_csv(path):
     "label" (any position) becomes the labels; every other column must
     be numeric. A body is parsed in byte ranges of _SHARE_BYTES or more, at
     most one per usable CPU, by forked processes. A UTF-8 byte-order mark
-    before the header is dropped; bytes that are not UTF-8 fail at the line
-    that holds them."""
+    before the header is dropped. A failure, bytes that are not UTF-8 too,
+    names the first record that fails by its first line."""
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         first = fh.readline()
         if not first:
@@ -181,15 +196,12 @@ def load_csv(path):
                      else parse(fh))
         except ValueError:  # the serial diagnosis finds the line, in shares or not
             table = None
-    if table is None:
-        line_no, line = _first_failing(path, lambda lines: _raises(parse, lines))
-        reason = _diagnose(line, len(header), label_col, feature_cols)
+    if table is None or not np.isfinite(table).all():
+        line_no, lines = _first_failing(path, parse)
+        reason = _diagnose(lines, len(header), label_col, feature_cols)
         raise CsvFormatError(f"{path}: line {line_no}: {reason}")
     if not len(table):
         raise CsvFormatError(f"{path}: line 2: no data rows")
-    if not np.isfinite(table).all():
-        line_no, _ = _first_failing(path, lambda lines: not np.isfinite(parse(lines)).all())
-        raise CsvFormatError(f"{path}: line {line_no}: non-finite feature value")
     # The features copied once, p-major as a DataSet keeps them.
     features = np.empty((len(feature_cols), len(table)))
     for j, col in enumerate(feature_cols):

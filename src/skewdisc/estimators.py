@@ -16,9 +16,9 @@ plug-in (PP). SKEWVEC, TOBI and JADE3 are affine equivariant; their
 estimates are defined up to sign, which align_sign resolves against a
 reference vector.
 
-Every method reads the record of its DataSet (Whitening) one member at a
-time through Whitening.member. Its stages run on first use for every member
-at once, an unstacked DataSet being a stack of one: whiten, the cached T (tk)
+Every method reads the stages its DataSet keeps in DataSet.whitening one
+member at a time through _stage. They run on first use for every member at
+once, an unstacked DataSet being a stack of one: whiten, the cached T (tk)
 and TOBI pair (tobi) that JADE3 starts from, MOM's centred moments and LDA's
 class moments. The est_* functions, the fixed-point loop JADE3 and PP share
 and the reports stay per member. JADE3 and PP step on T: PP's step
@@ -71,57 +71,33 @@ class DirectionEstimate:
     raw_norm: float = None
 
 
-class Whitening:
-    """The record of one DataSet x, kept on it: named stages, each computed
-    on first use for every member of the DataSet by one call of the layer
-    functions. An unstacked DataSet is kept as a stack of one. A stage that
-    raises is run again member by member, each member a stack of one, so
-    every member keeps its own values or its own error, which is raised
-    again on every later use; a member's values have the same bits in any
-    stack. The stages, each on y = x 2^-exponent:
-
-    whiten  whiten(x): e, whitener, the whitened rows z, c3, symmetric
-    tk      the T_k slices of z as one (p, p, p) array per member
-    tobi    tobi_unit(tk)
-    mom     MOM's centred moments: its e + f; c2 and c3 of the data centred
-            and scaled by 2^-(e + f); raises DegenerateSkewnessError where
-            ||c3|| is at most skewness_floor(trace c2)
-    lda     LDA's exponent and direction
-
-    member(name, b) reads them, one member at a time."""
-
-    def __init__(self, data):
-        self._stacked = data.observations.ndim == 3
-        x, labels = data.observations, data.labels
-        if not self._stacked:
-            x, labels = x[None], None if labels is None else labels[None]
-        self._blocks = {None: [(0, len(x), (x, labels))]}
-        self._members = {}
-
-    def _run(self, name):
-        # Fills _blocks[name], [(lo, hi, values of members lo..hi-1 or one
-        # member's error)], split into single members only where one raised,
-        # and _members[name], each member's values or error.
+def _blocks(data, name):
+    # data.whitening[name], filled on first use: the stage's blocks [(lo, hi, values of
+    # members lo..hi-1 or one member's error)] and each member's values or error.
+    if name not in data.whitening:
         source, compute = _STAGES[name]
-        if source not in self._blocks:
-            self._run(source)
-        blocks = self._blocks[name] = [block for lo, hi, value in self._blocks[source]
-                                       for block in _computed(compute, lo, hi, value)]
-        self._members[name] = [
+        if source is None:  # the observations and labels, as a stack
+            x, labels = data.observations.reshape(-1, data.n, data.p), data.labels
+            sources = [(0, len(x), (x, None if labels is None else labels.reshape(x.shape[:2])))]
+        else:
+            sources = _blocks(data, source)[0]
+        blocks = [block for lo, hi, value in sources
+                  for block in _computed(compute, lo, hi, value)]
+        data.whitening[name] = blocks, [
             value if isinstance(value, Exception) else tuple(v[i] for v in value)
             for lo, hi, value in blocks for i in range(hi - lo)]
+    return data.whitening[name]
 
-    def member(self, name, b):
-        """Stage name's values of member b of a stacked DataSet (b None for an
-        unstacked one); raises the member's error."""
-        if (b is None) == self._stacked:
-            raise ValueError("a stacked DataSet needs a member index, an unstacked one none")
-        if name not in self._members:
-            self._run(name)
-        value = self._members[name][b or 0]
-        if isinstance(value, Exception):
-            raise value
-        return value
+
+def _stage(data, name, b):
+    # Stage name's values of member b of a stacked DataSet (b None for an
+    # unstacked one); raises the member's error.
+    if (b is None) == (data.observations.ndim == 3):
+        raise ValueError("a stacked DataSet needs a member index, an unstacked one none")
+    value = _blocks(data, name)[1][b or 0]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _computed(compute, lo, hi, value):
@@ -136,12 +112,6 @@ def _computed(compute, lo, hi, value):
             return [(lo, hi, exc)]
     return [block for b in range(lo, hi) for block in _computed(
         compute, b, b + 1, tuple(None if v is None else v[b - lo:b - lo + 1] for v in value))]
-
-
-def _record(data):
-    if data.whitening is None:
-        object.__setattr__(data, "whitening", Whitening(data))
-    return data.whitening
 
 
 def _estimate(raw, e, method, converged=True, iterations=0, notes=()):
@@ -196,7 +166,6 @@ def whiten(x):
     whitener = inv_sqrt(c2)
     y -= mean[..., None, :]
     z = (whitener @ y.swapaxes(-1, -2)).swapaxes(-1, -2)
-    del y  # before third_moment's n x p temporary
     c3 = mom.third_moment(z)
     return e, whitener, z, c3, np.sqrt((c3 * c3).sum(axis=-1)) < skewness_floor(z.shape[-1])
 
@@ -278,8 +247,8 @@ def est_mom(data, alpha1, member=None):
     NonFiniteError
         If the direction leaves double range.
     """
-    e, c2, c3 = _record(data).member("mom", member)
-    _record(data).member("whiten", member)
+    e, c2, c3 = _stage(data, "mom", member)
+    _stage(data, "whiten", member)
     return _estimate(mom_direction(c2, c3, alpha1), e, MOM)
 
 
@@ -304,7 +273,7 @@ def est_skewvec(data, member=None):
     DegenerateSkewnessError
         If the whitened third moment is below the degeneracy floor.
     """
-    e, whitener, _, c3, symmetric = _record(data).member("whiten", member)
+    e, whitener, _, c3, symmetric = _stage(data, "whiten", member)
     return _estimate(skewvec_direction(whitener, _skewed(c3, symmetric)), e, SKEWVEC)
 
 
@@ -334,9 +303,8 @@ def est_tobi(data, member=None):
     """Third-order blind identification estimate: whitener times the
     leading eigenvector of the squared-slice sum; raises as tobi_unit
     does. A tied leading eigenvalue is reported through notes, not raised."""
-    wh = _record(data)
-    e, whitener = wh.member("whiten", member)[:2]
-    u, ambiguous = wh.member("tobi", member)
+    e, whitener = _stage(data, "whiten", member)[:2]
+    u, ambiguous = _stage(data, "tobi", member)
     notes = ("ambiguous leading eigenvalue",) if ambiguous else ()
     return _estimate(whitener @ u, e, TOBI, notes=notes)
 
@@ -346,7 +314,7 @@ def _fixed_point(tk, step, init, tol, max_iter):
     # (update, objective) = step(tu, coef) with tu[k] = T_k u and coef[k] =
     # u' T_k u = T(e_k, u, u), both from one matrix-vector product with the
     # (p*p, p) view of T. An objective (None: nothing to watch) that drops
-    # between iterates adds the note "objective decreased"; an update whose
+    # between iterates adds the note "objective decreased", once; an update whose
     # norm underflows or is not finite raises DegenerateSkewnessError. rows
     # is made C-contiguous once (a copy only of a caller's strided tk), and
     # T u is written into one buffer per call, of which tu is a view; on
@@ -363,7 +331,7 @@ def _fixed_point(tk, step, init, tol, max_iter):
     for iterations in range(1, max_iter + 1):
         np.dot(rows, u, out=flat)
         update, obj = step(tu, tu.dot(u))
-        if prev_obj is not None and obj < prev_obj - 1e-12 * max(1.0, prev_obj):
+        if not notes and prev_obj is not None and obj < prev_obj - 1e-12 * max(1.0, prev_obj):
             notes.append("objective decreased")
         prev_obj = obj
         nrm = math.sqrt(update.dot(update))
@@ -397,12 +365,11 @@ def jade3_unit(tk, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 def est_jade3(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, member=None):
     """3-JADE estimate, started from the TOBI eigenvector of the same
     whitened slices (so it raises where TOBI does, and where jade3_unit does)."""
-    wh = _record(data)
-    e, whitener = wh.member("whiten", member)[:2]
-    init, ambiguous = wh.member("tobi", member)
+    e, whitener = _stage(data, "whiten", member)[:2]
+    init, ambiguous = _stage(data, "tobi", member)
     notes = ("ambiguous leading eigenvalue in init",) if ambiguous else ()
     u, converged, iterations, jade_notes = jade3_unit(
-        wh.member("tk", member)[0], init, tol=tol, max_iter=max_iter)
+        _stage(data, "tk", member)[0], init, tol=tol, max_iter=max_iter)
     return _estimate(whitener @ u, e, JADE3, converged=converged,
                      iterations=iterations, notes=notes + jade_notes)
 
@@ -423,7 +390,7 @@ def est_lda(data, member=None):
     """
     if data.labels is None:
         raise SupervisionRequiredError("LDA needs a 'label' column of -1 and 1")
-    e, raw = _record(data).member("lda", member)
+    e, raw = _stage(data, "lda", member)
     return _estimate(raw, e, LDA)
 
 
@@ -432,7 +399,7 @@ def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, member=None):
     u <- normalize(mean((u'z)^2 z)) on the whitened data, a stationary
     point of the squared projection skewness, started from the whitened
     third-moment vector, stepping on T(., u, u) of the cached tensor, the
-    record's "tk" stage. Same loop as JADE3; may legitimately return
+    "tk" stage. Same loop as JADE3; may legitimately return
     converged=False.
 
     Raises
@@ -441,10 +408,9 @@ def est_pp(data, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, member=None):
         If the whitened third moment is below the degeneracy floor, or an
         update's norm underflows or is not finite.
     """
-    wh = _record(data)
-    e, whitener, _, c3, symmetric = wh.member("whiten", member)
+    e, whitener, _, c3, symmetric = _stage(data, "whiten", member)
     u, converged, iterations, notes = _fixed_point(
-        wh.member("tk", member)[0], lambda tu, coef: (coef, None), _skewed(c3, symmetric),
+        _stage(data, "tk", member)[0], lambda tu, coef: (coef, None), _skewed(c3, symmetric),
         tol, max_iter)
     return _estimate(whitener @ u, e, PP, converged=converged,
                      iterations=iterations, notes=notes)
@@ -490,8 +456,20 @@ METHODS = {
                constant=_c0),
 }
 
-#: The stages of Whitening: name -> (the stage whose values it takes, None
-#: for the observations and labels, and the function of them that computes it).
+#: The stages a DataSet keeps in DataSet.whitening: name -> (the stage whose
+#: values it takes, None for the observations and labels, and the function of
+#: them that computes it). Each runs on first use for every member by one call
+#: of the layer functions. A stage that raises is run again member by member,
+#: each member a stack of one, so every member keeps its own values or its own
+#: error, which is raised again on every later use; a member's values have the
+#: same bits in any stack. The stages, each on y = x 2^-exponent:
+#: whiten  whiten(x): e, whitener, the whitened rows z, c3, symmetric
+#: tk      the T_k slices of z as one (p, p, p) array per member
+#: tobi    tobi_unit(tk)
+#: mom     MOM's centred moments: its e + f; c2 and c3 of the data centred and
+#:         scaled by 2^-(e + f); raises DegenerateSkewnessError where ||c3|| is
+#:         at most skewness_floor(trace c2)
+#: lda     LDA's exponent and direction
 _STAGES = {
     "whiten": (None, lambda x, labels: whiten(x)),
     "tk": ("whiten", lambda e, whitener, z, c3, symmetric: (mom.tk_slices(z),)),

@@ -122,14 +122,14 @@ class DataSet:
     Labels take values in {-1, +1}; component 1 maps to -1. The
     observations are kept p-major: each member's p columns lie contiguous
     over its n rows (an array laid out otherwise is copied so). whitening
-    keeps the record of stages that estimators build, for every later
-    estimator and every member; it holds an unstacked DataSet as a stack
-    of one.
+    is the dict of stages that estimators fill on first use, keyed by stage
+    name, for every later estimator and every member; it holds an unstacked
+    DataSet as a stack of one.
     """
 
     observations: np.ndarray
     labels: np.ndarray | None = None
-    whitening: object = field(default=None, init=False, repr=False, compare=False)
+    whitening: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)

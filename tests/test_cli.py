@@ -93,6 +93,11 @@ class TestLoadCsv:
         ("x,y\n1.0,2.0\n\n3.0,nan\n", 4),
         ("x,y\ninf,2.0\n", 2),
         ("x,label\n1.0,1\n-inf,-1\n", 3),
+        # a quoted field that spans lines is one record, named by its first line
+        ('x,y\n"1\n",2\n3,nan\n', 4),
+        ('x,y\n"1\n",2\n3,oops\n', 4),
+        # the first record that fails, for any reason
+        ("x,y\n1,2\nnan,3\n4,5\noops,6\n", 3),
     ])
     def test_errors_carry_line_numbers(self, tmp_path, content, line):
         path = tmp_path / "bad.csv"

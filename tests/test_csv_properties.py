@@ -116,9 +116,10 @@ def test_any_body_gives_data_or_a_line(tmp_path, header, body):
     (b"x,y\n1,2\n3,4\n5,6\n7,nan\n", True),
     (b"x,label\n1,1\n3,-1\n5,1\n7,1.0\n", True),
     (b"x,y\n1,2\n3,4\n5,6\n\n\n\n", True),
+    (b"x,y\n1,2\nnan,3\n4,5\noops,6\n", True),  # the first bad line, not the last
 ], ids=["crlf", "lone-cr", "mixed-endings", "labels", "quote",
         "bad-value-in-child", "bad-width-in-child", "nan-in-child", "bad-label-in-child",
-        "blank-tail"])
+        "blank-tail", "nan-before-bad-value"])
 def test_shares_give_the_serial_result(tmp_path, content, split):
     path = tmp_path / "shares.csv"
     path.write_bytes(content)

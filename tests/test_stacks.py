@@ -7,11 +7,12 @@ import struct
 import numpy as np
 import pytest
 
-from skewdisc import estimators, model, montecarlo
+from skewdisc import estimators, linalg, model, moments, montecarlo
 from skewdisc.errors import Error, NearSingularError
 from skewdisc.montecarlo import (SIGMA_IDENTITY, SIGMA_RANDOM_AAT, ExperimentConfig,
                                  _chat_draw, _msi_draw, _replicates, chat_experiment,
                                  msi_experiment, rng_stream)
+from test_montecarlo import count_calls
 
 ALL_SIX = tuple(estimators.METHODS)
 
@@ -126,6 +127,31 @@ def test_a_failing_member_keeps_its_own_error(spoil, raised):
     failed = {tag: got for tag, got in zip(estimators.METHODS, outcomes(data, 2))
               if isinstance(got, str)}
     assert failed == raised
+
+
+@pytest.mark.parametrize("spoil,counts", [
+    (None, (1, 2, 1, 1, 1)),
+    (singular, (5, 10, 3, 3, 3)),
+    (symmetric, (1, 2, 1, 5, 3)),
+    (constant, (5, 10, 3, 3, 3)),
+], ids=["left-alone", "singular", "symmetric", "constant"])
+def test_a_stage_runs_once_per_block_of_members(monkeypatch, spoil, counts):
+    # all six methods on every member: a stage runs once for the whole stack;
+    # where it raises, again for each member alone, and a later stage once per
+    # block of members that passed
+    calls = {}
+    for home, name in ((estimators, "whiten"), (linalg, "inv_sqrt"), (moments, "tk_slices"),
+                       (moments, "tobi_matrix"), (linalg, "sym_eigen")):
+        count_calls(monkeypatch, calls, home, name)
+    h = np.array([2.0, 0.0, 0.0])
+    params = model.MixtureParams(alpha1=0.7, mu1=-0.3 * h, mu2=0.7 * h, sigma=np.eye(3))
+    rows = [model.sample(params, 400, np.random.default_rng(60 + b)) for b in range(4)]
+    if spoil is not None:
+        rows[2] = spoil(rows[2])
+    data = stack_of(rows)
+    for b in range(4):
+        outcomes(data, b)
+    assert tuple(calls.values()) == counts
 
 
 @pytest.mark.parametrize("p", [1, 2])
