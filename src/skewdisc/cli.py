@@ -71,13 +71,6 @@ def _loadtxt(source, **options):
         return np.loadtxt(source, delimiter=",", quotechar='"', comments=None, **options)
 
 
-def _fails(parse, lines):
-    try:
-        return not np.isfinite(parse(lines)).all()
-    except ValueError:
-        return True
-
-
 def _utf8(line):
     # Whether a line read with errors="surrogateescape" was valid UTF-8.
     try:
@@ -88,52 +81,50 @@ def _utf8(line):
 
 
 def _first_failing(path, parse):
-    """(number, lines) of the first body record at which the body, read up to
-    and including it, fails to parse or holds a non-finite value. A record
-    is a line, or the lines up to where the body's count of '"' is even
-    again; its number is its first line's, blank lines counted, which the
-    parser skips outside quotes. A byte that is not UTF-8 is read as a lone
-    surrogate, which no field accepts."""
-    records, quotes = [], 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        next(fh)  # the header
-        for no, line in enumerate(fh, start=2):
-            if quotes % 2:
-                records[-1][1].append(line)
-            elif line != "\n":
-                records.append((no, [line]))
-            quotes += line.count('"')
-    good, bad = 0, len(records)
+    """(number, lines) of the first body row at which the body, read up to and
+    including it, fails to parse or holds a non-finite value. A row is what
+    numpy's reader reads as one, a line or more where a quoted field spans
+    lines; its number is its first line's, blank lines counted. A byte that is
+    not UTF-8 is read as a lone surrogate, which no field accepts."""
+    def body():
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            next(fh)  # the header
+            yield from fh
+
+    good, bad = 0, sum(1 for _ in body()) + 1
     while bad - good > 1:
         mid = (good + bad) // 2
-        if _fails(parse, [line for _, lines in records[:mid] for line in lines]):
-            bad = mid
-        else:
-            good = mid
-    return records[bad - 1]
+        try:
+            fails = not np.isfinite(parse(body(), mid)).all()
+        except ValueError:
+            fails = True
+        good, bad = (good, mid) if fails else (mid, bad)
+    taken = []  # (number, line) of each line read through rest
+    rest = (taken.append((no, line)) or line for no, line in enumerate(body(), start=2))
+    if good:  # max_rows=0 with dtype=str raises
+        parse(rest, good)
+    taken.clear()
+    _loadtxt(rest, dtype=str, max_rows=1)  # reads exactly the failing row's lines
+    while taken[0][1] == "\n":  # numpy skips only these lines as blank
+        del taken[0]
+    return taken[0][0], [line for _, line in taken]
 
 
 def _diagnose(lines, width, label_col, feature_cols):
-    """Why a body record fails: its field count, then its features, then its
-    label, then a non-finite feature. A record that parses alone failed only
-    after an unclosed quote."""
-    try:
-        (fields,) = _loadtxt(lines, dtype=str, ndmin=2)
-    except ValueError:  # not one row: a '"' inside a field joined lines; the first alone
-        return _diagnose(lines[:1], width, label_col, feature_cols)
+    """Why a body row fails: its bytes, its field count, its features, its
+    label; if all pass, a non-finite feature."""
     if not all(map(_utf8, lines)):
         return "not valid UTF-8"
+    (fields,) = _loadtxt(lines, dtype=str, ndmin=2)
     if len(fields) != width:
         return f"expected {width} fields, got {len(fields)}"
     try:
-        features = _loadtxt(lines, dtype=float, usecols=feature_cols)
+        _loadtxt(lines, dtype=float, usecols=feature_cols)
     except ValueError:
         return "non-numeric feature value"
     if label_col is not None and fields[label_col].strip() not in _LABELS:
         return f"label must be -1 or 1, got {fields[label_col].strip()!r}"
-    if not np.isfinite(features).all():
-        return "non-finite feature value"
-    return "row cannot be parsed after an unclosed quote"
+    return "non-finite feature value"
 
 
 def _cuts(path, k):
@@ -157,7 +148,7 @@ def load_csv(path):
     be numeric. A body is parsed in byte ranges of _SHARE_BYTES or more, at
     most one per usable CPU, by forked processes. A UTF-8 byte-order mark
     before the header is dropped. A failure, bytes that are not UTF-8 too,
-    names the first record that fails by its first line."""
+    names the first row that fails by its first line."""
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         first = fh.readline()
         if not first:
@@ -172,10 +163,10 @@ def load_csv(path):
         if not feature_cols:
             raise CsvFormatError(f"{path}: line 1: no feature columns")
 
-        def parse(source):
-            # Body rows as one float array, the label column converted;
-            # ValueError on any value, label or row width the dialect refuses.
-            table = _loadtxt(source, dtype=float, ndmin=2,
+        def parse(source, rows=None):
+            # Body rows, only the first rows of them if given, as one float array, the
+            # label column converted; ValueError on any value, label or width refused.
+            table = _loadtxt(source, dtype=float, ndmin=2, max_rows=rows,
                              converters=None if label_col is None else {label_col: _label})
             if len(table) and table.shape[1] != len(header):
                 raise ValueError(f"expected {len(header)} fields")

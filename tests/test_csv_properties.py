@@ -97,7 +97,15 @@ def test_any_body_gives_data_or_a_line(tmp_path, header, body):
         try:
             ds = load_csv(str(path))
         except CsvFormatError as exc:
-            assert re.search(rf"^{re.escape(str(path))}: line \d+: ", str(exc))
+            found = re.search(rf"^{re.escape(str(path))}: line (\d+): ", str(exc))
+            assert found
+            # the rows before the named line load: the error is at that line
+            with open(path, encoding="utf-8", newline="") as fh:
+                lines = fh.readlines()[:int(found[1]) - 1]
+            cut = tmp_path / "cut.csv"
+            cut.write_text("".join(lines), encoding="utf-8", newline="")
+            before = outcome(cut)
+            assert isinstance(before, tuple) or before == f"{cut}: line 2: no data rows"
         else:
             assert ds.n >= 1 and np.isfinite(ds.observations).all()
         serial = outcome(path)
@@ -117,9 +125,11 @@ def test_any_body_gives_data_or_a_line(tmp_path, header, body):
     (b"x,label\n1,1\n3,-1\n5,1\n7,1.0\n", True),
     (b"x,y\n1,2\n3,4\n5,6\n\n\n\n", True),
     (b"x,y\n1,2\nnan,3\n4,5\noops,6\n", True),  # the first bad line, not the last
+    (b'x\n"1\n"1E--"#\ri"1\n"3', False),
+    (b'x,y\n1"a,"2\n3",4\n', False),
 ], ids=["crlf", "lone-cr", "mixed-endings", "labels", "quote",
         "bad-value-in-child", "bad-width-in-child", "nan-in-child", "bad-label-in-child",
-        "blank-tail", "nan-before-bad-value"])
+        "blank-tail", "nan-before-bad-value", "stray-quotes", "stray-quote-in-field"])
 def test_shares_give_the_serial_result(tmp_path, content, split):
     path = tmp_path / "shares.csv"
     path.write_bytes(content)
@@ -128,6 +138,40 @@ def test_shares_give_the_serial_result(tmp_path, content, split):
         assert outcome(path) == serial
     assert (asked != []) == split
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("content,want", [
+    (b'x\n"1\n"1E--"#\ri"1\n"3', "line 2: non-numeric feature value"),
+    (b'x,y\n1"a,"2\n3",4\n', "line 2: expected 2 fields, got 3"),
+    (b'x,y\n1"a,"2\n\xff3",4\n', "line 2: not valid UTF-8"),
+    (b'x,y\n1,2\n3"a,"4\n5",6\n7,8\n', "line 3: expected 2 fields, got 3"),
+], ids=["stray-quotes", "stray-quote-in-field", "stray-quote-then-bytes", "stray-quote-after-a-row"])
+def test_a_stray_quote_gives_the_reason_for_numpys_row(tmp_path, content, want):
+    # a '"' inside a field opens no quoted field, but one that starts a field
+    # does: numpy reads the lines up to its closing '"' as one row, which is
+    # named by its first line and diagnosed whole
+    path = tmp_path / "stray.csv"
+    path.write_bytes(content)
+    assert outcome(path) == f"{path}: {want}"
+
+
+def parse_floats(source, rows=None):
+    return cli._loadtxt(source, dtype=float, ndmin=2, max_rows=rows)
+
+
+@pytest.mark.parametrize("content,found", [
+    (b'x,y\n1,2\n"3\n\n4",5\n6,7\n', (3, ['"3\n', "\n", '4",5\n'])),
+    (b"x,y\n1,2\n\n\n3,oops\n5,6\n", (5, ["3,oops\n"])),
+    (b"x,y\r\n1,2\r\n3,4\r\n5,oops\r\n", (4, ["5,oops\n"])),
+    (b"x,y\r1,2\r3,4\r5,oops\r", (4, ["5,oops\n"])),
+    (b"x,y\noops,1\n2,3\n", (2, ["oops,1\n"])),
+], ids=["quoted-field-over-a-blank-line", "blank-lines-before", "crlf", "lone-cr", "first-row"])
+def test_first_failing_takes_numpys_row(tmp_path, content, found):
+    # numpy's reader, given max_rows, takes no line past its last row: the
+    # lines the one-row read takes are the failing row's, and no other's
+    path = tmp_path / "rows.csv"
+    path.write_bytes(content)
+    assert cli._first_failing(str(path), parse_floats) == found
 
 
 def test_bad_line_in_a_child_share_keeps_its_number(tmp_path):
