@@ -81,33 +81,29 @@ def _utf8(line):
 
 
 def _first_failing(path, parse):
-    """(number, lines) of the first body row at which the body, read up to and
-    including it, fails to parse or holds a non-finite value. A row is what
-    numpy's reader reads as one, a line or more where a quoted field spans
-    lines; its number is its first line's, blank lines counted. A byte that is
-    not UTF-8 is read as a lone surrogate, which no field accepts."""
-    def body():
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            next(fh)  # the header
-            yield from fh
-
-    good, bad = 0, sum(1 for _ in body()) + 1
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            fails = not np.isfinite(parse(body(), mid)).all()
-        except ValueError:
-            fails = True
-        good, bad = (good, mid) if fails else (mid, bad)
-    taken = []  # (number, line) of each line read through rest
-    rest = (taken.append((no, line)) or line for no, line in enumerate(body(), start=2))
-    if good:  # max_rows=0 with dtype=str raises
-        parse(rest, good)
-    taken.clear()
-    _loadtxt(rest, dtype=str, max_rows=1)  # reads exactly the failing row's lines
-    while taken[0][1] == "\n":  # numpy skips only these lines as blank
-        del taken[0]
-    return taken[0][0], [line for _, line in taken]
+    """(number, lines) of the first body row that, parsed alone, fails or holds a
+    non-finite value, the file read once up to it. A row is what numpy's reader
+    reads as one, a line or more where a quoted field spans lines; its number is
+    its first line's, blank lines counted. A byte that is not UTF-8 is read as a
+    lone surrogate, which no field accepts. The body read up to a row fails first
+    at that row: each check looks at one row, except that numpy compares a row's
+    width with the first row's and parse the first row's with the header's, and
+    where no earlier row fails alone the first row has the header's width."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        next(fh)  # the header
+        taken = []  # (number, line) of each line read through rest
+        rest = (taken.append((no, line)) or line for no, line in enumerate(fh, start=2))
+        while True:
+            taken.clear()
+            _loadtxt(rest, dtype=str, max_rows=1)  # reads exactly one row's lines
+            while taken[0][1] == "\n":  # numpy skips only these lines as blank
+                del taken[0]
+            lines = [line for _, line in taken]
+            try:
+                if not np.isfinite(parse(lines)).all():
+                    return taken[0][0], lines
+            except ValueError:
+                return taken[0][0], lines
 
 
 def _diagnose(lines, width, label_col, feature_cols):
@@ -163,10 +159,10 @@ def load_csv(path):
         if not feature_cols:
             raise CsvFormatError(f"{path}: line 1: no feature columns")
 
-        def parse(source, rows=None):
-            # Body rows, only the first rows of them if given, as one float array, the
-            # label column converted; ValueError on any value, label or width refused.
-            table = _loadtxt(source, dtype=float, ndmin=2, max_rows=rows,
+        def parse(source):
+            # Body rows as one float array, the label column converted; ValueError
+            # on any value, label or width refused.
+            table = _loadtxt(source, dtype=float, ndmin=2,
                              converters=None if label_col is None else {label_col: _label})
             if len(table) and table.shape[1] != len(header):
                 raise ValueError(f"expected {len(header)} fields")

@@ -101,7 +101,6 @@ class DerivedParams:
     tau    h' Sigma^{-1} h, squared Mahalanobis distance of the means
     beta   alpha1 * alpha2
     gamma  alpha1 - alpha2
-    delta  (1 + beta tau)^{-1/2}
     c2     Sigma + beta h h', the covariance of x
     """
 
@@ -110,7 +109,6 @@ class DerivedParams:
     tau: float
     beta: float
     gamma: float
-    delta: float
     c2: np.ndarray
 
 
@@ -184,9 +182,8 @@ def derive(params):
     alpha2 = 1.0 - params.alpha1
     beta = params.alpha1 * alpha2
     gamma = params.alpha1 - alpha2
-    delta = (1.0 + beta * tau) ** -0.5
     return DerivedParams(h=h, theta=theta, tau=tau, beta=beta, gamma=gamma,
-                         delta=delta, c2=params.sigma + beta * np.outer(h, h))
+                         c2=params.sigma + beta * np.outer(h, h))
 
 
 def sample(params, n, rng):

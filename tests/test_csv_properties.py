@@ -155,8 +155,8 @@ def test_a_stray_quote_gives_the_reason_for_numpys_row(tmp_path, content, want):
     assert outcome(path) == f"{path}: {want}"
 
 
-def parse_floats(source, rows=None):
-    return cli._loadtxt(source, dtype=float, ndmin=2, max_rows=rows)
+def parse_floats(source):
+    return cli._loadtxt(source, dtype=float, ndmin=2)
 
 
 @pytest.mark.parametrize("content,found", [
@@ -172,6 +172,29 @@ def test_first_failing_takes_numpys_row(tmp_path, content, found):
     path = tmp_path / "rows.csv"
     path.write_bytes(content)
     assert cli._first_failing(str(path), parse_floats) == found
+
+
+def test_first_failing_reads_the_body_once(tmp_path, monkeypatch):
+    # one forward pass: the file opened once, and parse given each row's lines
+    # alone, up to and including the first bad row
+    path = tmp_path / "once.csv"
+    rows = [f"{i},1\n" for i in range(1000)]
+    rows[499] = "oops,1\n"
+    path.write_text("x,y\n" + "".join(rows))
+    opened, given = [], []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    def spy(source):
+        given.append(source)
+        return parse_floats(source)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    assert cli._first_failing(str(path), spy) == (501, ["oops,1\n"])
+    assert len(opened) == 1
+    assert given == [[row] for row in rows[:500]]
 
 
 def test_bad_line_in_a_child_share_keeps_its_number(tmp_path):

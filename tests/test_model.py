@@ -131,7 +131,6 @@ class TestDerive:
         assert d.tau == pytest.approx(4.0)
         assert d.beta == pytest.approx(0.21)
         assert d.gamma == pytest.approx(0.4)
-        assert d.delta == pytest.approx(0.737210, abs=1e-6)
         m = inv_sqrt(reference_params().sigma) @ d.h
         np.testing.assert_allclose(m, [2.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(m / np.linalg.norm(m), [1.0, 0.0, 0.0], atol=1e-12)
@@ -154,8 +153,6 @@ class TestDerive:
             assert np.linalg.norm(m / np.linalg.norm(m)) == pytest.approx(1.0, abs=1e-12)
             assert d.beta == pytest.approx(
                 params.alpha1 * (1.0 - params.alpha1))
-            assert d.delta == pytest.approx(
-                (1.0 + d.beta * d.tau) ** -0.5, rel=1e-12)
 
     def test_c2_is_the_one_population_covariance(self):
         # derive forms Sigma + beta h h' once; population_moments,
