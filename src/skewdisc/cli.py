@@ -82,13 +82,13 @@ def _utf8(line):
 
 def _first_failing(path, parse):
     """(number, lines) of the first body row that, parsed alone, fails or holds a
-    non-finite value, the file read once up to it. A row is what numpy's reader
-    reads as one, a line or more where a quoted field spans lines; its number is
-    its first line's, blank lines counted. A byte that is not UTF-8 is read as a
-    lone surrogate, which no field accepts. The body read up to a row fails first
-    at that row: each check looks at one row, except that numpy compares a row's
-    width with the first row's and parse the first row's with the header's, and
-    where no earlier row fails alone the first row has the header's width."""
+    non-finite value; the file is read once, up to that row. A row is what numpy's
+    reader reads as one, a line or more where a quoted field spans lines; its number
+    is its first line's, blank lines counted. A byte that is not UTF-8 is read as a
+    lone surrogate, which no field accepts. The body read up to this row fails first
+    at it: each check looks at one row but numpy's, which compares a row's width with
+    the first row's, and parse's, which compares the table's with the header's; every
+    row before this one passed alone, so has the header's width."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         next(fh)  # the header
         taken = []  # (number, line) of each line read through rest
