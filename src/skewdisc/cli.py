@@ -151,7 +151,10 @@ def load_csv(path):
             raise CsvFormatError(f"{path}: line 1: empty file")
         if not _utf8(first):
             raise CsvFormatError(f"{path}: line 1: not valid UTF-8")
-        header = [c.strip() for c in _loadtxt([first], dtype=str, ndmin=1)]
+        fields = _loadtxt([first], dtype=str, ndmin=1)
+        if any("\n" in c for c in fields):  # only a quote left open leaves one
+            raise CsvFormatError(f"{path}: line 1: a quoted header field spans lines")
+        header = [c.strip() for c in fields]
         if header.count("label") > 1:
             raise CsvFormatError(f"{path}: line 1: more than one 'label' column")
         label_col = header.index("label") if "label" in header else None
@@ -190,10 +193,8 @@ def load_csv(path):
     if not len(table):
         raise CsvFormatError(f"{path}: line 2: no data rows")
     # The features copied once, p-major as a DataSet keeps them.
-    features = np.empty((len(feature_cols), len(table)))
-    for j, col in enumerate(feature_cols):
-        features[j] = table[:, col]
-    return DataSet(features.T, labels=None if label_col is None else table[:, label_col])
+    return DataSet(table.T[feature_cols].T,
+                   labels=None if label_col is None else table[:, label_col])
 
 
 def _require_file(path):

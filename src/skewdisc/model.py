@@ -12,7 +12,6 @@ functions shift arbitrary means internally. Second- and higher-order
 central moments do not depend on the shift.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +32,15 @@ class MixtureParams:
     carries no direction information there. The means must be finite.
     sigma must be finite (else NonFiniteError) and symmetric, with
     ||sigma - sigma'||_F <= 1e-12 max(||sigma||_F, 1) at any finite scale
-    (else SymmetryError), with strictly positive eigenvalues (else
-    ValueError); it is kept as a read-only copy.
+    (else SymmetryError), and positive definite by its Cholesky factorization (else
+    ValueError). It and its lower factor cholesky, which sample draws with, are read-only.
     """
 
     alpha1: float
     mu1: np.ndarray
     mu2: np.ndarray
     sigma: np.ndarray
+    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.5 < self.alpha1 < 1.0:
@@ -67,23 +67,20 @@ class MixtureParams:
             raise SymmetryError(
                 f"matrix is not symmetric: asymmetry {gap / scale:.3e} exceeds "
                 f"{SYMMETRY_RTOL:.1e} relative")
-        smallest = np.linalg.eigvalsh(sigma)[0]
-        if smallest <= 0.0:
-            raise ValueError(
-                f"matrix is not positive definite: smallest eigenvalue {smallest:.3e}")
-        sigma.flags.writeable = False
+        try:
+            cholesky = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise ValueError("matrix is not positive definite: smallest eigenvalue "
+                             f"{np.linalg.eigvalsh(sigma)[0]:.3e}") from None
+        sigma.flags.writeable = cholesky.flags.writeable = False
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "mu2", mu2)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "cholesky", cholesky)
 
     @property
     def p(self):
         return len(self.mu1)
-
-    @functools.cached_property
-    def cholesky(self):
-        """The lower Cholesky factor of sigma, computed on first use."""
-        return np.linalg.cholesky(self.sigma)
 
 
 def _centred(alpha1, h, sigma):
@@ -195,7 +192,7 @@ def sample(params, n, rng):
     and from component 2 otherwise (label +1). A member's draw is fully
     determined by the state of its generator: first n uniforms pick the
     components, then n*p standard normals supply the noise. One
-    MixtureParams factors its sigma once, however often it is drawn from.
+    MixtureParams factors its sigma once, when it is built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

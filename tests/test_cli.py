@@ -185,6 +185,21 @@ class TestLoadCsv:
         assert len(err.splitlines()) == 1
         assert stderr_payload(err)["message"] == f"{path}: line 2: no data rows"
 
+    @pytest.mark.parametrize("content", [
+        b'x,"y\nz",label\n1,2,1\n3,5,-1\n4,9,1\n',
+        b'x,"y\r\nz",label\r\n1,2,1\r\n3,5,-1\r\n',
+        b'"x\n",y\n1,2\n3,5\n',
+    ], ids=["closed-on-line-2", "crlf", "closed-at-once"])
+    def test_header_quote_left_open(self, tmp_path, capsys, content):
+        # numpy would read the header past line 1; the body's line 2 is not to blame
+        path = tmp_path / "mh.csv"
+        path.write_bytes(content)
+        code, out, err = run_cli(["estimate", str(path), "--method", "tobi"], capsys)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert stderr_payload(err) == {
+            "error": "CsvFormatError",
+            "message": f"{path}: line 1: a quoted header field spans lines"}
+
 
 class TestEstimate:
     def test_report_to_stdout(self, sample_csv, capsys):

@@ -2,6 +2,7 @@
 the same whether the body is parsed in one process or in forked shares."""
 
 import contextlib
+import io
 import json
 import os
 import re
@@ -9,11 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from skewdisc import cli
+from skewdisc import cli, estimators
 from skewdisc.cli import CsvFormatError, load_csv, main
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
@@ -293,3 +294,101 @@ def test_dead_child_is_one_typed_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "WorkerError"
     assert_no_child_left()
+
+
+METHOD_NAMES = sorted(tag.lower() for tag in estimators.METHODS)
+
+#: Magnitudes that stress the numeric path: zero, the least subnormal, and
+#: powers of ten up to one that reads as inf (1.8e308).
+MAGNITUDES = ("0.0", "5e-324", "1e-300", "1e-150", "1e-20", "1e20", "1e150", "1e300", "1.8e308")
+
+
+@st.composite
+def numeric_tables(draw):
+    """(header, rows) of a CSV with n in 1..9 rows and p in 1..4 features, an
+    optional label column anywhere; each feature column is drawn from the
+    magnitude alphabet with either sign, a cubed exponential sample scaled by
+    10^k for |k| <= 290, or a repeat or multiple of an earlier column (a
+    multiple of 1e8 takes 1e300 near the largest double)."""
+    n, p = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    columns = []
+    for j in range(p):
+        kinds = ("alphabet", "exponential") + (("repeat", "multiple") if j else ())
+        kind = draw(st.sampled_from(kinds))
+        if kind == "alphabet":
+            column = [draw(st.sampled_from(["", "-"])) + draw(st.sampled_from(MAGNITUDES))
+                      for _ in range(n)]
+        elif kind == "exponential":
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            scale = 10.0 ** draw(st.integers(-290, 290))
+            column = [repr(float(v) ** 3 * scale) for v in rng.standard_exponential(n)]
+        else:
+            earlier = columns[draw(st.integers(0, j - 1))]
+            factor = 1.0 if kind == "repeat" else draw(st.sampled_from([-3.0, 0.5, 2.0, 1e8]))
+            column = [repr(float(v) * factor) for v in earlier]
+        columns.append(column)
+    header = [f"x{j}" for j in range(p)]
+    rows = [list(row) for row in zip(*columns)]
+    labels = draw(st.none() | st.lists(st.sampled_from(["-1", "1"]), min_size=n, max_size=n))
+    if labels is not None:
+        at = draw(st.integers(0, p))
+        header.insert(at, "label")
+        for row, label in zip(rows, labels):
+            row.insert(at, label)
+    return header, rows
+
+
+def run_estimate(path, method):
+    """(exit code, stdout, stderr) of estimate on path, any warning an error."""
+    argv = ["estimate", str(path), "--method", method]
+    if estimators.METHODS[method.upper()].needs_alpha1:
+        argv += ["--alpha1", "0.7"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_constant(token):
+    raise AssertionError(f"the report holds {token}")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=numeric_tables())
+@example(table=(["x0"], [["1e+308"], ["1e+308"], ["-1e+300"], ["1e+308"]]))  # NonFiniteError
+def test_every_table_gives_a_report_or_one_typed_error(tmp_path, table):
+    # Rule 1 of the north star: any input gives a valid answer or one typed
+    # error line, for every method, with no warning and no NaN claimed converged.
+    header, rows = table
+    path = tmp_path / "numeric.csv"
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    for method in METHOD_NAMES:
+        code, out, err = run_estimate(path, method)
+        if code == 0:
+            report = json.loads(out, parse_constant=_no_constant)
+            assert abs(np.linalg.norm(report["unit"]) - 1.0) <= 1e-12
+            assert len(report["scores"]) == len(rows)
+            assert np.isfinite(report["scores"]).all()
+            assert isinstance(report["converged"], bool)
+            assert err == ""
+        else:
+            assert code in (1, 2) and out == ""
+            assert len(err.splitlines()) == 1 and err.endswith("\n")
+            assert set(json.loads(err)) == {"error", "message"}
+
+
+@pytest.mark.parametrize("method,body,message", [
+    *((method, "1.5,2,1\n", "need at least 2 observations for sample moments")
+      for method in METHOD_NAMES),
+    ("lda", "1,2,1\n3,4,-1\n5,7,-1\n6,1,-1\n", "each class must occupy at least 2 rows"),
+], ids=[*(f"one-row-{method}" for method in METHOD_NAMES), "lda-class-of-one-row"])
+def test_too_few_rows_is_status_2(tmp_path, method, body, message):
+    # The README gives both status 2, where other data failures are status 1.
+    path = tmp_path / "few.csv"
+    path.write_text("x,y,label\n" + body)
+    code, out, err = run_estimate(path, method)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}

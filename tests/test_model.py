@@ -2,6 +2,9 @@
 population moment blocks, checked against the independent pair-partition
 oracle."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,41 @@ class TestMixtureParams:
         with pytest.raises(ValueError):
             MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2),
                           sigma=np.outer([1.0, 2.0], [1.0, 2.0]))
+
+    def test_one_factorization_per_mixture(self, monkeypatch):
+        # The Cholesky factor is both the positive-definiteness verdict and
+        # what sample draws with; eigvalsh runs only to word a refusal.
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, real=real, name=name: calls.append(name) or real(a))
+        sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+        params = MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2), sigma=sigma)
+        assert calls == ["cholesky"]
+        sample(params, 50, np.random.default_rng(0))
+        sample(params, 50, [np.random.default_rng(1), np.random.default_rng(2)])
+        assert calls == ["cholesky"]
+        np.testing.assert_allclose(params.cholesky @ params.cholesky.T, sigma)
+        assert not params.cholesky.flags.writeable
+        for bad in ([[1.0, 0.0], [0.0, -1.0]], np.outer([1.0, 2.0], [1.0, 2.0])):
+            calls.clear()
+            with pytest.raises(ValueError, match="smallest eigenvalue"):
+                MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2), sigma=bad)
+            assert calls == ["cholesky", "eigvalsh"]
+
+    def test_factor_is_not_a_parameter(self):
+        params = MixtureParams(alpha1=0.7, mu1=np.zeros(2), mu2=np.ones(2),
+                               sigma=np.eye(2))
+        moved = dataclasses.replace(params, sigma=4.0 * np.eye(2))
+        np.testing.assert_array_equal(moved.cholesky, 2.0 * np.eye(2))
+        assert "cholesky" not in repr(params)
+        # The same parameters compare equal, whatever factor they hold.
+        other = copy.copy(params)
+        object.__setattr__(other, "cholesky", np.zeros((2, 2)))
+        assert other == params
+        with pytest.raises(ValueError, match="cholesky"):
+            dataclasses.replace(params, cholesky=np.eye(2))
 
     def test_entries_read_only(self):
         given = np.eye(2)
