@@ -1,5 +1,6 @@
 """Property tests of the CSV loader: exact round trips and typed failures,
-the same whether the body is parsed in one process or in forked shares."""
+the same whether the body is parsed in one process or in forked shares; and
+of estimate on any small table: a valid report or one typed error line."""
 
 import contextlib
 import io
