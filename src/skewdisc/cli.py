@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
@@ -55,8 +56,22 @@ _SHARE_BYTES = 1 << 20
 #: The least scores per share when estimate formats its report in forked processes.
 _SCORE_SHARE = 2 ** 15
 
-#: The label column's tokens and their values; any other token is refused.
+#: The label column's tokens and their values; any other token is refused. A change
+#: to what they mean changes the parsed table: bump _CACHE_VERSION with it.
 _LABELS = {"-1": -1.0, "1": 1.0, "+1": 1.0}
+
+#: The least bytes of a CSV file whose parsed table load_csv keeps in the cache.
+_CACHE_BYTES = 1 << 20
+
+#: Part of every cache entry's name; bump it whenever load_csv's parse or _LABELS
+#: changes the table that some bytes give, so no entry of the old meaning is read.
+_CACHE_VERSION = 1
+
+#: The cache entries kept, the most recently used.
+_CACHE_ENTRIES = 8
+
+#: The body rows that _first_failing reads and parses at once.
+_BLOCK_ROWS = 1024
 
 
 def _label(token):
@@ -82,28 +97,36 @@ def _utf8(line):
 
 def _first_failing(path, parse):
     """(number, lines) of the first body row that, parsed alone, fails or holds a
-    non-finite value; the file is read once, up to that row. A row is what numpy's
-    reader reads as one, a line or more where a quoted field spans lines; its number
-    is its first line's, blank lines counted. A byte that is not UTF-8 is read as a
-    lone surrogate, which no field accepts. The body read up to this row fails first
-    at it: each check looks at one row but numpy's, which compares a row's width with
-    the first row's, and parse's, which compares the table's with the header's; every
-    row before this one passed alone, so has the header's width."""
+    non-finite value; the file is read once, up to that row's block. A row is what
+    numpy's reader reads as one, a line or more where a quoted field spans lines;
+    its number is its first line's, blank lines counted. A byte that is not UTF-8 is
+    read as a lone surrogate, which no field accepts. The body read up to this row
+    fails first at it: each check looks at one row but numpy's, which compares a
+    row's width with the first row's, and parse's, which compares the table's with
+    the header's; every row before this one passed alone, so has the header's width.
+    The rows are read as strings and parsed in blocks of _BLOCK_ROWS: a block where
+    neither fails holds no such row, and from the first block where one does, its
+    lines and the rest are read again one row at a time."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         next(fh)  # the header
-        taken = []  # (number, line) of each line read through rest
-        rest = (taken.append((no, line)) or line for no, line in enumerate(fh, start=2))
+        numbered = enumerate(fh, start=2)
+        rows = _BLOCK_ROWS
         while True:
-            taken.clear()
-            _loadtxt(rest, dtype=str, max_rows=1)  # reads exactly one row's lines
-            while taken[0][1] == "\n":  # numpy skips only these lines as blank
-                del taken[0]
-            lines = [line for _, line in taken]
+            taken = []  # (number, line) of each line this read takes
             try:
-                if not np.isfinite(parse(lines)).all():
-                    return taken[0][0], lines
+                # reads exactly these rows' lines
+                _loadtxt((taken.append(item) or item[1] for item in numbered),
+                         dtype=str, max_rows=rows)
+                while taken and taken[0][1] == "\n":  # numpy skips only these lines as blank
+                    del taken[0]
+                passed = np.isfinite(parse([line for _, line in taken])).all()
             except ValueError:
-                return taken[0][0], lines
+                passed = False
+            if passed and taken:
+                continue
+            if rows == 1:
+                return taken[0][0], [line for _, line in taken]
+            numbered, rows = itertools.chain(taken, numbered), 1
 
 
 def _diagnose(lines, width, label_col, feature_cols):
@@ -138,13 +161,80 @@ def _cuts(path, k):
     return [b for b in cuts if b < size] + [size]
 
 
+def _stamp(stat):
+    # The file, its size and its mtime: what must hold still from a digest to its write.
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _cache_entry(path, fh):
+    """(entry, stamp) for fh, the file that path opened: entry is the cache file for
+    its table, named by the SHA-256 of its bytes, under $XDG_CACHE_HOME/skewdisc or
+    ~/.cache/skewdisc; stamp is the file's _stamp before the digest. (None, None)
+    below _CACHE_BYTES, where path names another file by now, or where no absolute
+    cache directory is set."""
+    stat = os.fstat(fh.fileno())
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.expanduser(os.path.join("~", ".cache"))
+    if stat.st_size < _CACHE_BYTES or not os.path.isabs(root):
+        return None, None
+    import hashlib  # only here: it loads OpenSSL, about 4 ms and 3.5 MB
+
+    stamp, digest = _stamp(stat), hashlib.sha256()
+    with open(path, "rb") as raw:
+        if _stamp(os.fstat(raw.fileno())) != stamp:
+            return None, None
+        for piece in iter(lambda: raw.read(1 << 20), b""):  # the file never held whole
+            digest.update(piece)
+    return os.path.join(root, "skewdisc", f"{digest.hexdigest()}-{_CACHE_VERSION}.npy"), stamp
+
+
+def _cached_table(entry, width):
+    """The table in the cache file entry, marked as just used; None where it cannot
+    be read or is not a finite 2-D float64 table of width columns and some rows."""
+    try:
+        table = np.load(entry, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if not (isinstance(table, np.ndarray) and table.dtype == np.float64 and table.ndim == 2
+            and table.shape[1] == width and len(table) and np.isfinite(table).all()):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return table
+
+
+def _store(entry, stamp, path, table):
+    """Write table to the cache file entry if path still has stamp, then delete all
+    but the _CACHE_ENTRIES most recently used entries. A cache that cannot be
+    written is left as it is."""
+    temp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        if _stamp(os.stat(path)) != stamp:
+            return
+        root = os.path.dirname(entry)
+        os.makedirs(root, mode=0o700, exist_ok=True)
+        with open(temp, "wb") as out:
+            np.save(out, table, allow_pickle=False)
+        os.replace(temp, entry)
+        entries = [e for e in os.scandir(root) if e.name.endswith(".npy")]
+        entries.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
+        for old in entries[_CACHE_ENTRIES:]:
+            os.remove(old.path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+
+
 def load_csv(path):
     """Read a headered feature CSV into a DataSet. A column named
     "label" (any position) becomes the labels; every other column must
     be numeric. A body is parsed in byte ranges of _SHARE_BYTES or more, at
-    most one per usable CPU, by forked processes. A UTF-8 byte-order mark
-    before the header is dropped. A failure, bytes that are not UTF-8 too,
-    names the first row that fails by its first line."""
+    most one per usable CPU, by forked processes. A file of _CACHE_BYTES or
+    more keeps its parsed table in the cache, by the digest of its bytes, so
+    the same bytes again are not parsed. A UTF-8 byte-order mark before the
+    header is dropped. A failure, bytes that are not UTF-8 too, names the
+    first row that fails by its first line."""
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         first = fh.readline()
         if not first:
@@ -164,7 +254,8 @@ def load_csv(path):
 
         def parse(source):
             # Body rows as one float array, the label column converted; ValueError
-            # on any value, label or width refused.
+            # on any value, label or width refused. A change to the table it gives
+            # for some bytes bumps _CACHE_VERSION.
             table = _loadtxt(source, dtype=float, ndmin=2,
                              converters=None if label_col is None else {label_col: _label})
             if len(table) and table.shape[1] != len(header):
@@ -180,18 +271,27 @@ def load_csv(path):
                 text.readline()  # the header
             return parse(text)
 
-        cuts = _cuts(path, _share_count((os.path.getsize(path) - len(first)) // _SHARE_BYTES))
-        try:
-            table = (np.concatenate(_forked(parse_share, len(cuts) - 1)) if len(cuts) > 2
-                     else parse(fh))
-        except ValueError:  # the serial diagnosis finds the line, in shares or not
-            table = None
-    if table is None or not np.isfinite(table).all():
+        entry, stamp = _cache_entry(path, fh)
+        table = None if entry is None else _cached_table(entry, len(header))
+        missed = entry is not None and table is None
+        if table is None:
+            cuts = _cuts(path, _share_count((os.path.getsize(path) - len(first))
+                                            // _SHARE_BYTES))
+            try:
+                table = (np.concatenate(_forked(parse_share, len(cuts) - 1)) if len(cuts) > 2
+                         else parse(fh))
+            except ValueError:  # the serial diagnosis finds the line, in shares or not
+                table = None
+            if table is not None and not np.isfinite(table).all():
+                table = None
+    if table is None:
         line_no, lines = _first_failing(path, parse)
         reason = _diagnose(lines, len(header), label_col, feature_cols)
         raise CsvFormatError(f"{path}: line {line_no}: {reason}")
     if not len(table):
         raise CsvFormatError(f"{path}: line 2: no data rows")
+    if missed:
+        _store(entry, stamp, path, table)
     # The features copied once, p-major as a DataSet keeps them.
     return DataSet(table.T[feature_cols].T,
                    labels=None if label_col is None else table[:, label_col])

@@ -1,6 +1,8 @@
 """Command line interface, exercised in-process through main()."""
 
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -199,6 +201,184 @@ class TestLoadCsv:
         assert stderr_payload(err) == {
             "error": "CsvFormatError",
             "message": f"{path}: line 1: a quoted header field spans lines"}
+
+
+def cache_text(kind):
+    """A 300-row CSV of repr floats: labelled, unlabelled, every field quoted, or
+    labelled behind a UTF-8 byte-order mark."""
+    x = np.random.default_rng(70).standard_normal((300, 2)) * [1.0, 1e-5]
+    rows = [[repr(a), repr(b), "1" if a > 0 else "-1"] for a, b in x.tolist()]
+    header = ["x", "y", "label"]
+    if kind == "unlabelled":
+        header, rows = header[:2], [row[:2] for row in rows]
+    if kind == "quoted":
+        header, rows = [f'"{c}"' for c in header], [[f'"{c}"' for c in row] for row in rows]
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+def loaded(path):
+    """The data bit for bit and the labels."""
+    ds = load_csv(str(path))
+    return (ds.observations.shape, ds.observations.view(np.int64).tolist(),
+            None if ds.labels is None else ds.labels.tolist())
+
+
+def cache_dir():
+    return os.path.join(os.environ["XDG_CACHE_HOME"], "skewdisc")
+
+
+def entry_of(path):
+    """The cache file that the bytes at path name."""
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return os.path.join(cache_dir(), f"{digest}-{cli._CACHE_VERSION}.npy")
+
+
+def npy(table):
+    out = io.BytesIO()
+    np.save(out, table)
+    return out.getvalue()
+
+
+class TestCsvCache:
+    """A file of cli._CACHE_BYTES or more keeps its parsed table in the cache,
+    named by the digest of its bytes; here every file is that large."""
+
+    @pytest.fixture(autouse=True)
+    def every_file_cached(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CACHE_BYTES", 1)
+
+    @pytest.mark.parametrize("kind", ["labelled", "unlabelled", "quoted", "marked"])
+    def test_cold_and_warm_give_the_same_bits(self, tmp_path, kind):
+        path = tmp_path / "c.csv"
+        path.write_text(cache_text(kind), encoding="utf-8-sig" if kind == "marked" else "utf-8")
+        cold = loaded(path)
+        assert os.listdir(cache_dir()) == [os.path.basename(entry_of(path))]
+        assert loaded(path) == cold
+        assert cold[0] == (300, 2) and (cold[2] is None) == (kind == "unlabelled")
+
+    def test_a_hit_parses_nothing_from_any_path(self, tmp_path, monkeypatch):
+        # the same bytes at another path hit; the same path with new bytes does not
+        path, copy = tmp_path / "a.csv", tmp_path / "b.csv"
+        path.write_text(cache_text("labelled"))
+        copy.write_bytes(path.read_bytes())
+        forked, loadtxt, asked, reads = cli._forked, cli._loadtxt, [], []
+
+        def counted(run, k):
+            asked.append(k)
+            return forked(run, k)
+
+        def counted_loadtxt(*args, **options):
+            reads.append(options.get("dtype"))
+            return loadtxt(*args, **options)
+
+        monkeypatch.setattr(cli, "_SHARE_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(cli, "_forked", counted)
+        monkeypatch.setattr(cli, "_loadtxt", counted_loadtxt)
+        cold = loaded(path)
+        assert asked == [3]
+        reads.clear()
+        assert loaded(copy) == cold
+        assert asked == [3] and reads == [str]  # the header alone
+        text = cache_text("labelled").replace("e-", "e+", 1)
+        path.write_text(text)
+        assert loaded(path) != cold
+        assert asked == [3, 3] and len(os.listdir(cache_dir())) == 2
+
+    @pytest.mark.parametrize("spoil", [
+        lambda raw, table: raw[:-8],
+        lambda raw, table: npy(table[:, :2]),
+        lambda raw, table: npy(np.where(table == table.max(), np.nan, table)),
+        lambda raw, table: npy(table[:0]),
+        lambda raw, table: npy(table.astype(np.float32)),
+        lambda raw, table: b"x,y,label\n1,2,1\n",
+    ], ids=["truncated", "wrong-width", "non-finite", "no-rows", "float32", "not-npy"])
+    def test_a_bad_entry_is_a_miss_and_is_written_again(self, tmp_path, spoil):
+        path = tmp_path / "c.csv"
+        path.write_text(cache_text("labelled"))
+        cold = loaded(path)
+        entry = entry_of(path)
+        with open(entry, "rb") as fh:
+            raw = fh.read()
+        spoilt = spoil(raw, np.load(entry))
+        with open(entry, "wb") as fh:
+            fh.write(spoilt)
+        assert loaded(path) == cold
+        with open(entry, "rb") as fh:
+            assert fh.read() == raw
+        assert os.listdir(cache_dir()) == [os.path.basename(entry)]
+
+    @pytest.mark.parametrize("block", ["root-is-a-file", "entry-is-a-directory"])
+    def test_a_cache_that_cannot_be_written_changes_nothing(self, tmp_path, capsys,
+                                                            monkeypatch, block):
+        path = tmp_path / "c.csv"
+        path.write_text(cache_text("labelled"))
+        want = run_cli(["estimate", str(path), "--method", "lda"], capsys)
+        assert want[0] == 0 and want[2] == ""
+        if block == "root-is-a-file":
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+            os.makedirs(entry_of(path))
+        for _ in range(2):
+            assert run_cli(["estimate", str(path), "--method", "lda"], capsys) == want
+        if block == "entry-is-a-directory":
+            assert os.listdir(cache_dir()) == [os.path.basename(entry_of(path))]
+
+    @pytest.mark.parametrize("body,message", [
+        ("1,2\n3,oops\n", "line 3: non-numeric feature value"),
+        ("1,2\n3,nan\n", "line 3: non-finite feature value"),
+        ("\n", "line 2: no data rows"),
+    ], ids=["bad-value", "non-finite", "no-rows"])
+    def test_a_failing_csv_writes_nothing(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n" + body)
+        with pytest.raises(CsvFormatError, match=message):
+            load_csv(str(path))
+        assert not os.path.exists(cache_dir())
+
+    def test_a_file_below_the_threshold_writes_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.csv"
+        path.write_text(cache_text("labelled"))
+        monkeypatch.setattr(cli, "_CACHE_BYTES", path.stat().st_size + 1)
+        loaded(path)
+        assert not os.path.exists(cache_dir())
+        monkeypatch.setattr(cli, "_CACHE_BYTES", path.stat().st_size)
+        loaded(path)
+        assert os.path.exists(entry_of(path))
+
+    def test_a_file_changed_during_the_parse_writes_nothing(self, tmp_path, monkeypatch):
+        # its bytes may no longer be those the digest was taken of
+        path = tmp_path / "c.csv"
+        path.write_text(cache_text("labelled"))
+        cuts = cli._cuts
+
+        def touched(*args):
+            os.utime(path, ns=(1, 1))
+            return cuts(*args)
+
+        monkeypatch.setattr(cli, "_cuts", touched)
+        loaded(path)
+        assert not os.path.exists(cache_dir())
+
+    def test_the_most_recently_used_entries_survive(self, tmp_path):
+        paths = []
+        for i in range(11):
+            paths.append(tmp_path / f"c{i}.csv")
+            paths[-1].write_text(f"x,y\n{i},1\n2,3\n")
+        for i, path in enumerate(paths[:10]):
+            loaded(path)
+            # mtimes far apart, which a coarse file system clock may not give
+            os.utime(entry_of(path), ns=(0, (i + 1) * 10 ** 9))
+        survivors = sorted(os.listdir(cache_dir()))
+        assert survivors == sorted(os.path.basename(entry_of(p)) for p in paths[2:10])
+        loaded(paths[2])  # a hit marks its entry as just used
+        loaded(paths[10])
+        survivors = sorted(os.listdir(cache_dir()))
+        assert survivors == sorted(os.path.basename(entry_of(p))
+                                   for p in paths[2:3] + paths[4:11])
 
 
 class TestEstimate:

@@ -177,8 +177,9 @@ def test_first_failing_takes_numpys_row(tmp_path, content, found):
 
 
 def test_first_failing_reads_the_body_once(tmp_path, monkeypatch):
-    # one forward pass: the file opened once, and parse given each row's lines
-    # alone, up to and including the first bad row
+    # one forward pass: the file opened once, parse given each block of rows
+    # once, up to the first block that fails, then that block's rows alone, up
+    # to and including the first bad row
     path = tmp_path / "once.csv"
     rows = [f"{i},1\n" for i in range(1000)]
     rows[499] = "oops,1\n"
@@ -194,9 +195,11 @@ def test_first_failing_reads_the_body_once(tmp_path, monkeypatch):
         return parse_floats(source)
 
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 128)
     assert cli._first_failing(str(path), spy) == (501, ["oops,1\n"])
     assert len(opened) == 1
-    assert given == [[row] for row in rows[:500]]
+    assert given == ([rows[i:i + 128] for i in range(0, 512, 128)]
+                     + [[row] for row in rows[384:500]])
 
 
 def test_bad_line_in_a_child_share_keeps_its_number(tmp_path):
