@@ -60,8 +60,11 @@ _SCORE_SHARE = 2 ** 15
 #: to what they mean changes the parsed table: bump _CACHE_VERSION with it.
 _LABELS = {"-1": -1.0, "1": 1.0, "+1": 1.0}
 
-#: The least bytes of a CSV file whose parsed table load_csv keeps in the cache.
-_CACHE_BYTES = 1 << 20
+#: The least bytes of a CSV file whose parsed table load_csv keeps in the cache:
+#: where one later hit repays a miss. Measured with 11-column rows of repr floats,
+#: a miss (the digest and the write) costs 0.96 ms over the parse at 31 KiB and
+#: 1.0 ms at 62 KiB, and a hit saves 0.75 ms and 1.6 ms.
+_CACHE_BYTES = 1 << 16
 
 #: Part of every cache entry's name; bump it whenever load_csv's parse or _LABELS
 #: changes the table that some bytes give, so no entry of the old meaning is read.
@@ -104,22 +107,23 @@ def _first_failing(path, parse):
     fails first at it: each check looks at one row but numpy's, which compares a
     row's width with the first row's, and parse's, which compares the table's with
     the header's; every row before this one passed alone, so has the header's width.
-    The rows are read as strings and parsed in blocks of _BLOCK_ROWS: a block where
-    neither fails holds no such row, and from the first block where one does, its
-    lines and the rest are read again one row at a time."""
+    parse reads the rows in blocks of _BLOCK_ROWS: a block that passes holds no such
+    row, and from the first that fails, its lines and the rest are read again one
+    row at a time."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         next(fh)  # the header
         numbered = enumerate(fh, start=2)
         rows = _BLOCK_ROWS
         while True:
             taken = []  # (number, line) of each line this read takes
+            source = (taken.append(item) or item[1] for item in numbered)
             try:
-                # reads exactly these rows' lines
-                _loadtxt((taken.append(item) or item[1] for item in numbered),
-                         dtype=str, max_rows=rows)
-                while taken and taken[0][1] == "\n":  # numpy skips only these lines as blank
-                    del taken[0]
-                passed = np.isfinite(parse([line for _, line in taken])).all()
+                if rows == 1:  # the row's lines alone, numpy reading exactly these
+                    _loadtxt(source, dtype=str, max_rows=1)
+                    while taken and taken[0][1] == "\n":  # numpy skips only these as blank
+                        del taken[0]
+                    source = [line for _, line in taken]
+                passed = np.isfinite(parse(source, rows)).all()
             except ValueError:
                 passed = False
             if passed and taken:
@@ -166,13 +170,13 @@ def _stamp(stat):
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _cache_entry(path, fh):
-    """(entry, stamp) for fh, the file that path opened: entry is the cache file for
-    its table, named by the SHA-256 of its bytes, under $XDG_CACHE_HOME/skewdisc or
-    ~/.cache/skewdisc; stamp is the file's _stamp before the digest. (None, None)
-    below _CACHE_BYTES, where path names another file by now, or where no absolute
-    cache directory is set."""
-    stat = os.fstat(fh.fileno())
+def _cache_entry(raw):
+    """(entry, stamp) for the open binary file raw, whose place is kept: entry is the
+    cache file for its table, named by the SHA-256 of its bytes, under
+    $XDG_CACHE_HOME/skewdisc or ~/.cache/skewdisc; stamp is the file's _stamp before
+    the digest. (None, None) below _CACHE_BYTES or where no absolute cache directory
+    is set."""
+    stat = os.fstat(raw.fileno())
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         root = os.path.expanduser(os.path.join("~", ".cache"))
@@ -180,12 +184,11 @@ def _cache_entry(path, fh):
         return None, None
     import hashlib  # only here: it loads OpenSSL, about 4 ms and 3.5 MB
 
-    stamp, digest = _stamp(stat), hashlib.sha256()
-    with open(path, "rb") as raw:
-        if _stamp(os.fstat(raw.fileno())) != stamp:
-            return None, None
-        for piece in iter(lambda: raw.read(1 << 20), b""):  # the file never held whole
-            digest.update(piece)
+    stamp, digest, place = _stamp(stat), hashlib.sha256(), raw.tell()
+    raw.seek(0)
+    for piece in iter(lambda: raw.read(1 << 20), b""):  # the file never held whole
+        digest.update(piece)
+    raw.seek(place)
     return os.path.join(root, "skewdisc", f"{digest.hexdigest()}-{_CACHE_VERSION}.npy"), stamp
 
 
@@ -205,13 +208,14 @@ def _cached_table(entry, width):
 
 
 def _store(entry, stamp, path, table):
-    """Write table to the cache file entry if path still has stamp, then delete all
-    but the _CACHE_ENTRIES most recently used entries. A cache that cannot be
-    written is left as it is."""
+    """Write table to the cache file entry if the file at path still has stamp and
+    the bytes that named entry, then delete all but the _CACHE_ENTRIES most recently
+    used entries. A cache that cannot be written is left as it is."""
     temp = f"{entry}.{os.getpid()}.tmp"
     try:
-        if _stamp(os.stat(path)) != stamp:
-            return
+        with open(path, "rb") as raw:  # what the parse read, if it held still
+            if _cache_entry(raw) != (entry, stamp):
+                return
         root = os.path.dirname(entry)
         os.makedirs(root, mode=0o700, exist_ok=True)
         with open(temp, "wb") as out:
@@ -252,11 +256,11 @@ def load_csv(path):
         if not feature_cols:
             raise CsvFormatError(f"{path}: line 1: no feature columns")
 
-        def parse(source):
-            # Body rows as one float array, the label column converted; ValueError
-            # on any value, label or width refused. A change to the table it gives
-            # for some bytes bumps _CACHE_VERSION.
-            table = _loadtxt(source, dtype=float, ndmin=2,
+        def parse(source, rows=None):
+            # Body rows, all or the first rows, as one float array, the label column
+            # converted; ValueError on any value, label or width refused. A change
+            # to the table it gives for some bytes bumps _CACHE_VERSION.
+            table = _loadtxt(source, dtype=float, ndmin=2, max_rows=rows,
                              converters=None if label_col is None else {label_col: _label})
             if len(table) and table.shape[1] != len(header):
                 raise ValueError(f"expected {len(header)} fields")
@@ -271,7 +275,7 @@ def load_csv(path):
                 text.readline()  # the header
             return parse(text)
 
-        entry, stamp = _cache_entry(path, fh)
+        entry, stamp = _cache_entry(fh.buffer)
         table = None if entry is None else _cached_table(entry, len(header))
         missed = entry is not None and table is None
         if table is None:

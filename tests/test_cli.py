@@ -363,6 +363,26 @@ class TestCsvCache:
         loaded(path)
         assert not os.path.exists(cache_dir())
 
+    def test_a_same_size_rewrite_during_the_parse_writes_nothing(self, tmp_path, monkeypatch):
+        # the same file, size and mtime with other bytes: only a digest taken
+        # again after the parse tells them apart
+        path = tmp_path / "c.csv"
+        path.write_text(cache_text("labelled"))
+        rows, mtime = path.read_bytes().splitlines(keepends=True), path.stat().st_mtime_ns
+        assert rows[-1] != rows[-2]
+        cuts = cli._cuts
+
+        def rewritten(*args):
+            with open(path, "r+b") as fh:  # in place, past what the header read holds
+                fh.write(b"".join(rows[:-2] + rows[:-3:-1]))
+            os.utime(path, ns=(mtime, mtime))
+            return cuts(*args)
+
+        monkeypatch.setattr(cli, "_cuts", rewritten)
+        loaded(path)
+        assert path.stat().st_mtime_ns == mtime
+        assert not os.path.exists(cache_dir())
+
     def test_the_most_recently_used_entries_survive(self, tmp_path):
         paths = []
         for i in range(11):

@@ -157,8 +157,8 @@ def test_a_stray_quote_gives_the_reason_for_numpys_row(tmp_path, content, want):
     assert outcome(path) == f"{path}: {want}"
 
 
-def parse_floats(source):
-    return cli._loadtxt(source, dtype=float, ndmin=2)
+def parse_floats(source, rows=None):
+    return cli._loadtxt(source, dtype=float, ndmin=2, max_rows=rows)
 
 
 @pytest.mark.parametrize("content,found", [
@@ -190,16 +190,18 @@ def test_first_failing_reads_the_body_once(tmp_path, monkeypatch):
         opened.append(args[0])
         return open(*args, **kwargs)
 
-    def spy(source):
-        given.append(source)
-        return parse_floats(source)
+    def spy(source, rows=None):
+        given.append(read := [])  # the lines this call read
+        return parse_floats((read.append(line) or line for line in source), rows)
 
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 128)
     assert cli._first_failing(str(path), spy) == (501, ["oops,1\n"])
     assert len(opened) == 1
-    assert given == ([rows[i:i + 128] for i in range(0, 512, 128)]
-                     + [[row] for row in rows[384:500]])
+    assert given[:3] == [rows[i:i + 128] for i in range(0, 384, 128)]
+    failed = given[3]  # the failing block, read at least up to its bad row
+    assert failed == rows[384:384 + len(failed)] and len(failed) >= 116
+    assert given[4:] == [[row] for row in rows[384:500]]
 
 
 def test_bad_line_in_a_child_share_keeps_its_number(tmp_path):
