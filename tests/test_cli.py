@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -228,10 +229,13 @@ def cache_dir():
 
 
 def entry_of(path):
-    """The cache file that the bytes at path name."""
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return os.path.join(cache_dir(), f"{digest}-{cli._CACHE_VERSION}.npy")
+    """The cache file that the bytes at path name: the SHA-256 of the SHA-256s of
+    their consecutive pieces of cli._PIECE_BYTES, hashed here in one piece each."""
+    data, size = path.read_bytes(), cli._PIECE_BYTES
+    digests = b"".join(hashlib.sha256(data[i:i + size]).digest()
+                       for i in range(0, len(data), size))
+    return os.path.join(cache_dir(), f"{hashlib.sha256(digests).hexdigest()}-"
+                                     f"{cli._CACHE_VERSION}.npy")
 
 
 def npy(table):
@@ -286,28 +290,111 @@ class TestCsvCache:
         assert loaded(path) != cold
         assert asked == [3, 3] and len(os.listdir(cache_dir())) == 2
 
-    @pytest.mark.parametrize("spoil", [
-        lambda raw, table: raw[:-8],
-        lambda raw, table: npy(table[:, :2]),
-        lambda raw, table: npy(np.where(table == table.max(), np.nan, table)),
-        lambda raw, table: npy(table[:0]),
-        lambda raw, table: npy(table.astype(np.float32)),
-        lambda raw, table: b"x,y,label\n1,2,1\n",
-    ], ids=["truncated", "wrong-width", "non-finite", "no-rows", "float32", "not-npy"])
-    def test_a_bad_entry_is_a_miss_and_is_written_again(self, tmp_path, spoil):
+    @pytest.mark.parametrize("size", [4096, 4095, 4097, 3 * 4096 + 5],
+                             ids=["one-piece", "byte-less", "byte-more", "four-pieces"])
+    def test_the_key_depends_on_the_bytes_alone(self, tmp_path, monkeypatch, size):
+        # the same name from 1, 2 or 3 threads, each reading at least one piece,
+        # or from the file read in order where there is no preadv
+        monkeypatch.setattr(cli, "_PIECE_BYTES", 4096)
+        path = tmp_path / "c.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        preadv, readers = os.preadv, set()
+
+        def recorded(*args):
+            readers.add(threading.current_thread())
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", recorded)
+        names = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2}, None):
+            if cpus is None:
+                monkeypatch.delattr(os, "preadv")
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            readers.clear()
+            with open(path, "rb") as raw:
+                raw.read(10)
+                names.append(cli._cache_entry(raw)[0])
+                assert raw.tell() == 10
+            assert len(readers) == (0 if cpus is None else min(len(cpus), -(-size // 4096)))
+        assert names == [entry_of(path)] * 4
+
+    def test_a_failing_read_in_a_digest_thread_is_one_json_line(self, tmp_path, capsys,
+                                                                 monkeypatch):
         path = tmp_path / "c.csv"
         path.write_text(cache_text("labelled"))
-        cold = loaded(path)
-        entry = entry_of(path)
-        with open(entry, "rb") as fh:
-            raw = fh.read()
-        spoilt = spoil(raw, np.load(entry))
-        with open(entry, "wb") as fh:
-            fh.write(spoilt)
-        assert loaded(path) == cold
-        with open(entry, "rb") as fh:
-            assert fh.read() == raw
-        assert os.listdir(cache_dir()) == [os.path.basename(entry)]
+        monkeypatch.setattr(cli, "_PIECE_BYTES", 1024)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        preadv = os.preadv
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise OSError(5, "Input/output error")
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", failing)
+        code, out, err = run_cli(["estimate", str(path), "--method", "lda"], capsys)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert stderr_payload(err) == {"error": "OSError",
+                                       "message": "[Errno 5] Input/output error"}
+        assert not os.path.exists(cache_dir())
+
+    @pytest.mark.parametrize("label", [0, 1, 2, None])
+    def test_an_entry_holds_the_features_p_major_and_the_labels_last(self, tmp_path,
+                                                                      monkeypatch, label):
+        # one C-ordered array, each feature column a row; a hit's DataSet holds the
+        # features as read from the entry
+        fields = [row.split(",") for row in cache_text("labelled").splitlines()]
+        if label is None:
+            fields = [row[:2] for row in fields]
+        else:
+            fields = [row[:2][:label] + row[2:] + row[:2][label:] for row in fields]
+        path = tmp_path / "c.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in fields))
+        cold = load_csv(str(path))
+        columns = np.load(entry_of(path))
+        assert columns.flags.c_contiguous
+        want = cold.observations.T if label is None else np.vstack(
+            [cold.observations.T, cold.labels])
+        assert columns.tobytes() == want.tobytes()
+        cached, hit = cli._cached_table, []
+
+        def kept(*args):
+            hit.append(cached(*args))
+            return hit[-1]
+
+        monkeypatch.setattr(cli, "_cached_table", kept)
+        warm = load_csv(str(path))
+        assert np.shares_memory(warm.observations, hit[0][0])
+        assert warm.observations.tobytes() == cold.observations.tobytes()
+
+    @pytest.mark.parametrize("spoil", [
+        lambda raw, table: raw[:-8],
+        lambda raw, table: npy(table[:2]),
+        lambda raw, table: npy(np.where(table == table.max(), np.nan, table)),
+        lambda raw, table: npy(table[:, :0]),
+        lambda raw, table: npy(table.astype(np.float32)),
+        lambda raw, table: b"x,y,label\n1,2,1\n",
+        lambda raw, table: npy(table.T.copy()),
+        lambda raw, table: npy(np.asfortranarray(table)),
+        lambda raw, table: npy(np.where(table == 1, 0.5, table)),
+    ], ids=["truncated", "wrong-width", "non-finite", "no-rows", "float32", "not-npy",
+            "old-layout", "fortran-order", "bad-label"])
+    def test_a_bad_entry_is_a_miss_and_is_written_again(self, tmp_path, spoil):
+        # without labels no label row's check catches a spoilt entry's other faults
+        for kind in ("labelled", "unlabelled"):
+            path = tmp_path / f"{kind}.csv"
+            path.write_text(cache_text(kind))
+            cold = loaded(path)
+            entry = entry_of(path)
+            with open(entry, "rb") as fh:
+                raw = fh.read()
+            spoilt = spoil(raw, np.load(entry))
+            with open(entry, "wb") as fh:
+                fh.write(spoilt)
+            assert loaded(path) == cold
+            with open(entry, "rb") as fh:
+                assert fh.read() == raw
+        assert len(os.listdir(cache_dir())) == 2
 
     @pytest.mark.parametrize("block", ["root-is-a-file", "entry-is-a-directory"])
     def test_a_cache_that_cannot_be_written_changes_nothing(self, tmp_path, capsys,
@@ -421,6 +508,26 @@ class TestEstimate:
         assert code == 0 and out == ""
         report = json.loads(out_path.read_text())
         assert report["method"] == "SKEWVEC"
+
+    @pytest.mark.parametrize("kind", ["longer", "symlink", "dev-null"])
+    def test_report_over_an_existing_file(self, sample_csv, tmp_path, capsys, kind):
+        # written in place and cut to the new bytes; a link is followed and the
+        # mode kept; a device is not cut
+        want = tmp_path / "fresh.json"
+        argv = ["estimate", sample_csv, "--method", "tobi", "--output"]
+        assert run_cli(argv + [str(want)], capsys) == (0, "", "")
+        target = tmp_path / "old.json"
+        target.write_bytes(b"x" * (3 * want.stat().st_size))
+        target.chmod(0o600)
+        out = {"longer": target, "symlink": tmp_path / "link.json",
+               "dev-null": os.devnull}[kind]
+        if kind == "symlink":
+            out.symlink_to(target)
+        assert run_cli(argv + [str(out)], capsys) == (0, "", "")
+        if kind != "dev-null":
+            assert target.read_bytes() == want.read_bytes()
+            assert target.stat().st_mode & 0o777 == 0o600
+            assert os.path.islink(out) == (kind == "symlink")
 
     def test_every_method(self, labeled_csv, capsys):
         for method in ("mom", "skewvec", "tobi", "jade3", "lda", "pp"):
@@ -1031,6 +1138,14 @@ class TestSimulate:
         assert tuple(rows[0]) == CHAT_COLUMNS
         assert len(rows) == 3
         assert {r[0] for r in rows[1:]} == {"TOBI", "LDA"}
+
+    def test_table_over_a_longer_file_leaves_the_new_bytes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        want, out_csv = tmp_path / "fresh.csv", tmp_path / "chat.csv"
+        out_csv.write_bytes(b"x" * 100_000)
+        for path in (want, out_csv):
+            assert run_cli(["simulate-chat", cfg, str(path)], capsys)[0] == 0
+        assert out_csv.read_bytes() == want.read_bytes()
 
     def test_msi_writes_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", p=3,
